@@ -1,0 +1,5 @@
+"""The layer ledger: the repository's end-to-end and per-layer benchmark.
+
+Run ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1``
+from the repository root; see ``perfbench/README.md``.
+"""
