@@ -1,7 +1,7 @@
 """Benchmark: observability overhead on the synthesis hot path.
 
 The :mod:`repro.obs` instrumentation sits directly on the hottest code in
-the repository — every kernel block observes ``engine_kernel_block_seconds``
+the repository — every kernel call observes ``engine_kernel_block_seconds``
 and every plan lookup bumps the plan-cache counters — so it must be cheap
 enough to leave on.  This benchmark proves two properties of the layer:
 

@@ -6,7 +6,8 @@ on this codebase's reference hardware) that dwarfs the kernel time of small
 serving-sized blocks, while the NumPy reference leaves multicore hosts idle
 on campaign-sized batches.  :class:`AutoBackend` routes each call by the
 one quantity the kernel cost is proportional to — the total row-sample
-count ``B x n_periods`` (the kernel runs at ~100 ns/sample independent of
+count ``B x n_periods`` of the call (``B x n_blocks x n_periods`` for a
+multi-block call; the kernel runs at ~100 ns/sample independent of
 the B/n split) — and the available core count:
 
 * fewer than 2 usable workers, or a single-row batch: the thread pool can
@@ -118,9 +119,12 @@ class AutoBackend(SynthesisBackend):
         thermal_std_s: np.ndarray,
         h_minus1: np.ndarray,
         flicker_method: str,
+        n_blocks: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.select(len(rngs), int(n_periods)).synthesize(
-            n_periods, rngs, thermal_std_s, h_minus1, flicker_method
+        backend = self.select(len(rngs), int(n_blocks) * int(n_periods))
+        return backend.synthesize(
+            n_periods, rngs, thermal_std_s, h_minus1, flicker_method,
+            n_blocks=n_blocks,
         )
 
     def min_shard_rows(self, n_periods: Optional[int] = None) -> int:

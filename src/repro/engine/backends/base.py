@@ -24,7 +24,10 @@ NumpyBackend` for the same inputs.  Concretely, for every row ``i``:
   touched);
 * each row consumes **only its own** generator, so rows may execute in any
   order or concurrently — this row independence is what makes threaded (and
-  future GPU) backends bit-for-bit reproducible at any worker count.
+  future GPU) backends bit-for-bit reproducible at any worker count;
+* a multi-block call (``n_blocks = K``) makes, per row, the draws of ``K``
+  consecutive single-block calls in block order, so block ``k`` of its
+  output equals the ``k``-th of those calls.
 
 The equivalence matrix in ``tests/engine/test_backend_equivalence.py``
 enforces the contract for every shipped backend.
@@ -81,14 +84,15 @@ class SynthesisBackend(ABC):
         thermal_std_s: np.ndarray,
         h_minus1: np.ndarray,
         flicker_method: str,
+        n_blocks: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw thermal jitter and shaped unit pink noise for every row.
 
         Parameters
         ----------
         n_periods:
-            Number of samples per row (``> 0``; the ``n = 0`` short-circuit
-            lives in the caller).
+            Synthesis-block length: samples per row and block (``> 0``; the
+            ``n = 0`` short-circuit lives in the caller).
         rngs:
             One generator per row; row ``i`` must consume ``rngs[i]`` only.
         thermal_std_s:
@@ -100,16 +104,24 @@ class SynthesisBackend(ABC):
         flicker_method:
             1/f generator method (see
             :data:`repro.noise.flicker.FLICKER_METHODS`).
+        n_blocks:
+            Number ``K >= 1`` of consecutive synthesis blocks per row.  The
+            result is bit-for-bit the concatenation, per row, of ``K``
+            single-block calls: each block draws and shapes independently
+            (its own fused ``standard_normal(n + n_fft)`` per row, its own
+            DC-free spectrum), in block order, so a row's stream — and a
+            :class:`~repro.engine.rng.PhiloxRowStream` block counter —
+            advances exactly as ``K`` separate calls would advance it.
 
         Returns
         -------
         thermal:
-            ``(B, n_periods)`` thermal jitter [s]; zero rows where
+            ``(B, K * n_periods)`` thermal jitter [s]; zero rows where
             ``thermal_std_s`` is zero.
         pink:
-            ``(F, n_periods)`` unit-PSD pink noise, one row per flicker row
-            (``h_minus1 > 0``) in ascending row order.  The caller applies
-            the ``sqrt(h_-1)``/period scaling.
+            ``(F, K * n_periods)`` unit-PSD pink noise, one row per flicker
+            row (``h_minus1 > 0``) in ascending row order.  The caller
+            applies the ``sqrt(h_-1)``/period scaling.
         """
 
     def __repr__(self) -> str:

@@ -35,13 +35,15 @@ class NumpyBackend(SynthesisBackend):
         thermal_std_s: np.ndarray,
         h_minus1: np.ndarray,
         flicker_method: str,
+        n_blocks: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         n = int(n_periods)
+        n_blocks = int(n_blocks)
         batch = len(rngs)
-        thermal = np.zeros((batch, n))
+        thermal = np.zeros((batch, n_blocks * n))
         offsets = flicker_offsets(h_minus1)
         n_flicker = int(offsets[-1])
-        pink = np.empty((n_flicker, n))
+        pink = np.empty((n_flicker, n_blocks * n))
         plan = synthesis_plan(n, flicker_method, n_flicker > 0)
         run_block(
             n,
@@ -55,5 +57,6 @@ class NumpyBackend(SynthesisBackend):
             0,
             batch,
             plan=plan,
+            n_blocks=n_blocks,
         )
         return thermal, pink

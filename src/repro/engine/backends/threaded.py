@@ -97,15 +97,17 @@ class ThreadedBackend(SynthesisBackend):
         thermal_std_s: np.ndarray,
         h_minus1: np.ndarray,
         flicker_method: str,
+        n_blocks: int = 1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         n = int(n_periods)
+        n_blocks = int(n_blocks)
         batch = len(rngs)
-        thermal = np.zeros((batch, n))
+        thermal = np.zeros((batch, n_blocks * n))
         # Compact destination row of each flicker row: blocks write disjoint
         # slices of `pink`, offset by the flicker-row count before them.
         offsets = flicker_offsets(h_minus1)
         n_flicker = int(offsets[-1])
-        pink = np.empty((n_flicker, n))
+        pink = np.empty((n_flicker, n_blocks * n))
         blocks = _row_blocks(batch, self.max_workers)
         # One plan lookup for the whole batch: every worker block shares the
         # same immutable tables (they only read them).
@@ -124,6 +126,7 @@ class ThreadedBackend(SynthesisBackend):
                 start,
                 stop,
                 plan=plan,
+                n_blocks=n_blocks,
             )
 
         if len(blocks) == 1:

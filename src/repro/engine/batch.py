@@ -259,26 +259,35 @@ class BatchedJitterSynthesizer:
 
     # -- synthesis -----------------------------------------------------------
 
-    def _components(self, n_periods: int):
-        """Draw the thermal and flicker components, ``(B, n)`` each.
+    def _components(self, n_periods: int, n_blocks: int = 1):
+        """Draw the thermal and flicker components, ``(B, n_blocks * n)`` each.
 
         The draw-and-shape step (per-row fused ``standard_normal`` draws,
         thermal scaling, pink spectral shaping) is delegated to the backend;
         per-row stream order matches the scalar synthesizer exactly (a row's
         thermal variates precede its flicker white noise, zero-coefficient
         rows skip their draw entirely), whatever backend executes it.
+        ``n_blocks`` synthesizes that many consecutive ``n``-period blocks
+        in one backend call (see :meth:`periods`).
         """
         if n_periods < 0:
             raise ValueError(f"n_periods must be >= 0, got {n_periods!r}")
+        if n_blocks < 1:
+            raise ValueError(f"n_blocks must be >= 1, got {n_blocks!r}")
         n = int(n_periods)
         batch = self._batch_size
         if n == 0:
             return np.zeros((batch, 0)), np.zeros((batch, 0))
         h_minus1 = self._h_minus1
         thermal, pink = self._backend.synthesize(
-            n, self.rngs, self._thermal_std_s, h_minus1, self.flicker_method
+            n,
+            self.rngs,
+            self._thermal_std_s,
+            h_minus1,
+            self.flicker_method,
+            n_blocks=int(n_blocks),
         )
-        flicker = np.zeros((batch, n))
+        flicker = np.zeros(thermal.shape)
         flicker_rows = np.flatnonzero(h_minus1 > 0.0)
         if flicker_rows.size:
             fractional_frequency = np.sqrt(h_minus1[flicker_rows])[:, None] * pink
@@ -298,9 +307,15 @@ class BatchedJitterSynthesizer:
             nominal_period_s=self.nominal_period_s,
         )
 
-    def periods(self, n_periods: int) -> np.ndarray:
-        """Next ``n_periods`` period durations per instance, ``(B, n)`` [s]."""
-        thermal, flicker = self._components(n_periods)
+    def periods(self, n_periods: int, n_blocks: int = 1) -> np.ndarray:
+        """Next ``n_periods`` period durations per instance, ``(B, n)`` [s].
+
+        With ``n_blocks = K`` the result is ``(B, K * n)``: bit-for-bit the
+        concatenation of ``K`` consecutive ``periods(n_periods)`` calls
+        (each ``n``-period block is synthesized exactly as its own call
+        would), produced by one backend call.
+        """
+        thermal, flicker = self._components(n_periods, n_blocks)
         periods = thermal
         periods += self.nominal_period_s[:, None]
         periods += flicker
@@ -472,9 +487,11 @@ class BatchedOscillatorEnsemble:
         """Synthesize with the thermal/flicker ground-truth split, ``(B, n)``."""
         return self._synthesizer.decompose(n_periods)
 
-    def periods(self, n_periods: int) -> np.ndarray:
-        """Next ``n_periods`` period durations per instance, ``(B, n)`` [s]."""
-        return self._synthesizer.periods(n_periods)
+    def periods(self, n_periods: int, n_blocks: int = 1) -> np.ndarray:
+        """Next ``n_periods`` period durations per instance, ``(B, n)`` [s]
+        (``(B, n_blocks * n)`` for a multi-block call — see
+        :meth:`BatchedJitterSynthesizer.periods`)."""
+        return self._synthesizer.periods(n_periods, n_blocks)
 
     def jitter(self, n_periods: int) -> np.ndarray:
         """Next ``n_periods`` jitter values per instance, ``(B, n)`` [s]."""

@@ -167,7 +167,7 @@ def summary_line(*registries: Optional[MetricsRegistry]) -> str:
         parts.append(f"shards={int(shards)}")
     blocks = metrics.get("engine_kernel_block_seconds")
     if isinstance(blocks, Histogram) and blocks.count:
-        parts.append(f"kernel_blocks={blocks.count}")
+        parts.append(f"kernel_calls={blocks.count}")
     hits = _value("plan_cache_hits_total")
     misses = _value("plan_cache_misses_total")
     if hits or misses:

@@ -7,8 +7,7 @@ batching/window limits, queue bound and overflow policy, synthesis backend,
 per-priority coalescing windows, the fast tier, fabric worker endpoints and
 the reproducibility seed.  Both CLIs build exactly one ``ServiceConfig``
 from their flags (:meth:`ServiceConfig.from_args`) and every constructor
-downstream takes the config object; the old per-kwarg constructors keep
-working through a thin shim that emits a :class:`DeprecationWarning`.
+downstream takes the config object.
 
 The config is a frozen dataclass of plain values (strings, numbers,
 tuples), so it is hashable, comparable, and trivially serializable — the

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import warnings
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..engine.backends import plan_cache_stats, resolve_backend
@@ -28,16 +27,6 @@ from .scatter import Scatterer, execute_batch
 
 if TYPE_CHECKING:
     from .fabric_dispatch import FabricDispatcher
-
-#: TRNGService keyword arguments superseded by :class:`ServiceConfig`.
-_LEGACY_SERVICE_KWARGS = (
-    "max_batch",
-    "max_wait_ms",
-    "max_pending",
-    "overflow",
-    "backend",
-)
-
 
 class ServiceStats:
     """One service lifetime's counters — a thin view over a metrics registry.
@@ -239,11 +228,6 @@ class TRNGService:
         The :class:`~repro.serving.config.ServiceConfig` naming every
         tunable (batching window, queue bound, overflow policy, backend,
         per-priority windows, fast tier).  ``None`` uses the defaults.
-
-        The pre-config keyword form — ``TRNGService(max_batch=...,
-        max_wait_ms=..., max_pending=..., overflow=..., backend=...)`` —
-        still works through a shim that builds the equivalent config and
-        emits a :class:`DeprecationWarning`.
     fast_cache:
         The fitted-campaign cache behind ``tier="fast"`` sigma^2_N requests
         (see :mod:`repro.serving.fast_tier`); pass an instance to tune the
@@ -268,28 +252,7 @@ class TRNGService:
         fabric: Optional["FabricDispatcher"] = None,
         registry: Optional[MetricsRegistry] = None,
         spans: Optional[SpanCollector] = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            unknown = sorted(set(legacy) - set(_LEGACY_SERVICE_KWARGS))
-            if unknown:
-                raise TypeError(
-                    f"TRNGService() got unexpected keyword arguments {unknown}"
-                )
-            if config is not None:
-                raise TypeError(
-                    "pass either a ServiceConfig or the legacy keyword "
-                    f"arguments, not both (got {sorted(legacy)})"
-                )
-            warnings.warn(
-                f"TRNGService({', '.join(sorted(legacy))}=...) keyword "
-                f"arguments are deprecated; build a "
-                f"repro.serving.ServiceConfig and pass it as the first "
-                f"argument instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = ServiceConfig(**legacy)
         #: The immutable configuration this service was built from.
         self.config = config if config is not None else ServiceConfig()
         #: Per-service metrics registry — the queue, the stats view and the

@@ -1,4 +1,4 @@
-"""ServiceConfig: validation, parsing, the legacy-kwarg shim, protocol v1."""
+"""ServiceConfig: validation, parsing, protocol v1."""
 
 from __future__ import annotations
 
@@ -83,28 +83,13 @@ class TestServiceConfigValidation:
         assert hash(ServiceConfig()) == hash(ServiceConfig())
 
 
-class TestLegacyKwargShim:
-    def test_legacy_kwargs_build_the_equivalent_config(self):
-        with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-            service = TRNGService(max_batch=4, max_wait_ms=1.0, overflow="wait")
-        assert service.config == ServiceConfig(
-            max_batch=4, max_wait_ms=1.0, overflow="wait"
-        )
-
-    def test_config_object_does_not_warn(self, recwarn):
-        service = TRNGService(ServiceConfig(max_batch=4))
-        assert service.config.max_batch == 4
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_config_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            TRNGService(ServiceConfig(), max_batch=4)
-
-    def test_unknown_kwarg_is_an_error(self):
+class TestServiceConstructor:
+    @pytest.mark.parametrize("keyword", ["max_batch", "max_bach"])
+    def test_keyword_tunables_are_rejected(self, keyword):
+        # Tunables live on ServiceConfig only; stray keywords are plain
+        # TypeErrors from the signature itself.
         with pytest.raises(TypeError, match="unexpected keyword"):
-            TRNGService(max_bach=4)
+            TRNGService(**{keyword: 4})
 
 
 class TestProtocolVersion:
