@@ -41,11 +41,7 @@ import numpy as np
 # Allow running as a plain script from the repository root.
 sys.path.insert(0, "src")
 
-from repro.engine.backends import (  # noqa: E402
-    NumpyBackend,
-    PhiloxBackend,
-    ThreadedBackend,
-)
+from repro.engine.backends import NumpyBackend, PhiloxBackend  # noqa: E402
 from repro.engine.batch import BatchedOscillatorEnsemble  # noqa: E402
 from repro.engine.bits import BatchedEROTRNG  # noqa: E402
 from repro.engine.campaign import batched_sigma2_n_campaign  # noqa: E402
@@ -104,7 +100,7 @@ def verify_equivalence(workers: int, seed: int) -> None:
                 b_flicker,
                 seed=seed,
                 flicker_method=method,
-                backend=ThreadedBackend(max_workers=max_workers),
+                backend=NumpyBackend(max_workers, threshold=0),
             )
             for n_periods in (1, 257, 1024):
                 if not np.array_equal(
@@ -127,7 +123,7 @@ def verify_equivalence(workers: int, seed: int) -> None:
         configuration,
         batch_size=4,
         seed=seed,
-        backend=ThreadedBackend(max_workers=workers),
+        backend=NumpyBackend(workers, threshold=0),
     )
     reference_bits = reference_trng.generate_raw(256).bits
     threaded_bits = threaded_trng.generate_raw(256).bits
@@ -142,7 +138,7 @@ def verify_equivalence(workers: int, seed: int) -> None:
         for rng_contract in (None, "philox"):
             reference = _ensemble(8, seed, NumpyBackend(), rng_contract)
             philox = _ensemble(
-                8, seed, PhiloxBackend(max_workers=max_workers), rng_contract
+                8, seed, PhiloxBackend(max_workers), rng_contract
             )
             if not np.array_equal(
                 reference.periods(1024), philox.periods(1024)
@@ -155,9 +151,9 @@ def verify_equivalence(workers: int, seed: int) -> None:
 
 def run(batch: int, n_periods: int, workers: int, repeats: int, seed: int):
     numpy_backend = NumpyBackend()
-    threaded_backend = ThreadedBackend(max_workers=workers)
+    threaded_backend = NumpyBackend(workers, threshold=0)
 
-    philox_backend = PhiloxBackend(max_workers=workers)
+    philox_backend = PhiloxBackend(workers)
 
     # Fresh ensembles per repetition keep both backends on cold RNG streams.
     def kernel(backend, rng_contract=None):

@@ -41,10 +41,10 @@ from .engine.distributed import (
     MultiprocessExecutor,
     SerialExecutor,
     Sigma2NCampaignSpec,
-    plan_shards_for_backend,
     run_campaign,
     spec_to_json,
 )
+from .engine.distributed.runner import campaign_plan
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -421,7 +421,6 @@ def main(argv: Optional[list] = None) -> int:
             else MultiprocessExecutor(max_workers=args.workers)
         )
         fleet_size = args.workers
-    n_shards = args.shards if args.shards is not None else fleet_size
 
     from .obs import format_tree, global_registry, summary_line, write_metrics_json
 
@@ -446,7 +445,7 @@ def main(argv: Optional[list] = None) -> int:
         result = run_campaign(
             spec,
             executor=executor,
-            n_shards=n_shards,
+            n_shards=args.shards,
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
         )
@@ -457,14 +456,8 @@ def main(argv: Optional[list] = None) -> int:
             stats_stop.set()
     elapsed = time.perf_counter() - start
 
-    # Mirror run_campaign's backend-aware plan so the report shows the
-    # shard count that actually ran (threaded/auto backends clamp it).
-    effective_shards = plan_shards_for_backend(
-        spec.batch_size,
-        n_shards,
-        backend=spec.backend,
-        n_periods=getattr(spec, "n_periods", None),
-    ).n_shards
+    # The shard count that actually ran (a derived default may be clamped).
+    effective_shards = campaign_plan(spec, executor, args.shards).n_shards
     substrate = "fabric" if use_fabric else "local"
     print(
         f"{args.command} campaign: B={spec.batch_size}, "

@@ -7,10 +7,9 @@ time to whole ensembles:
   synthesis with one spawned RNG stream per instance
   (:class:`BatchedOscillatorEnsemble`); the scalar oscillator/synthesizer
   classes are thin ``B = 1`` views over it.
-* :mod:`repro.engine.backends` — pluggable executors of the synthesis hot
-  kernel (:class:`NumpyBackend` reference, :class:`ThreadedBackend`), all
-  bit-for-bit equivalent; selected with ``backend=`` / ``--backend`` /
-  ``REPRO_BACKEND``.
+* :mod:`repro.engine.backends` — the row-parallel executor of the synthesis
+  hot kernel (:class:`NumpyBackend`), bit-for-bit equivalent at any worker
+  count; selected with ``backend=`` / ``--backend`` / ``REPRO_BACKEND``.
 * :mod:`repro.engine.bits` — the batched TRNG bit pipeline: ensemble
   D-flip-flop sampling (:class:`BatchedDFlipFlopSampler`) and whole
   eRO-TRNG ensembles (:class:`BatchedEROTRNG`) producing ``(B, n_bits)``
@@ -39,7 +38,6 @@ from __future__ import annotations
 from .backends import (
     NumpyBackend,
     SynthesisBackend,
-    ThreadedBackend,
     resolve_backend,
 )
 from .batch import (
@@ -72,7 +70,6 @@ __all__ = [
     "Sigma2NCampaignSpec",
     "StreamingSigma2NEstimator",
     "SynthesisBackend",
-    "ThreadedBackend",
     "backends",
     "batched_bit_campaign",
     "batched_relative_jitter_campaign",

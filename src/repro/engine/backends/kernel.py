@@ -1,11 +1,11 @@
 """The one synthesis row-loop every backend executes.
 
-There is exactly one copy of the draw-and-shape kernel in the tree: both
-:class:`~repro.engine.backends.numpy_backend.NumpyBackend` (one block
-covering all rows) and
-:class:`~repro.engine.backends.threaded.ThreadedBackend` (one block per
-worker) call :func:`run_block` — so the bitwise cross-backend contract can
-only drift if the *partitioning* changes, never the per-row draws.
+There is exactly one copy of the draw-and-shape kernel in the tree:
+:class:`~repro.engine.backends.numpy_backend.NumpyBackend` calls
+:func:`run_block` once per contiguous row range (one range covering every
+row on the single-thread path) — so the bitwise contract between worker
+counts can only drift if the *partitioning* changes, never the per-row
+draws.
 
 Per-row stream order (the scalar synthesizer's, exactly): a row's thermal
 variates are drawn before its flicker white noise — fused into one
@@ -25,7 +25,6 @@ of ``K`` consecutive single-block calls.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,22 +35,7 @@ from ...noise.flicker import (
     _spectral_fft_length,
     generate_pink_noise,
 )
-from ...obs import metrics as _obs
 from .plan import SynthesisPlan
-
-#: Kernel timing (process-wide).  The histogram observe costs well under a
-#: microsecond per *kernel call* (not per row), and the kill switch
-#: (``configure_metrics(enabled=False)``) skips even the clock reads — so
-#: the instrumentation never touches an RNG stream and enabled/disabled
-#: runs are bit-for-bit identical.
-_BLOCK_SECONDS = _obs.global_registry().histogram(
-    "engine_kernel_block_seconds",
-    "Wall-clock seconds per synthesis kernel call (draw + shape)",
-)
-_BLOCK_ROWS = _obs.global_registry().counter(
-    "engine_kernel_rows_total",
-    "Row-blocks synthesized by the kernel (rows x synthesis blocks per call)",
-)
 
 
 def flicker_offsets(h_minus1: np.ndarray) -> np.ndarray:
@@ -94,35 +78,6 @@ def run_block(
     :mod:`repro.noise.flicker`).  ``None`` computes everything inline — the
     uncached reference path the equivalence tests compare against.
     """
-    if not _obs.metrics_enabled():
-        _run_block_rows(
-            n, rngs, thermal_std_s, h_minus1, flicker_method,
-            thermal, pink, position, start, stop, plan, n_blocks,
-        )
-        return
-    began = time.perf_counter()
-    _run_block_rows(
-        n, rngs, thermal_std_s, h_minus1, flicker_method,
-        thermal, pink, position, start, stop, plan, n_blocks,
-    )
-    _BLOCK_SECONDS.observe(time.perf_counter() - began)
-    _BLOCK_ROWS.inc((stop - start) * n_blocks)
-
-
-def _run_block_rows(
-    n: int,
-    rngs: Sequence[np.random.Generator],
-    thermal_std_s: np.ndarray,
-    h_minus1: np.ndarray,
-    flicker_method: str,
-    thermal: np.ndarray,
-    pink: np.ndarray,
-    position: int,
-    start: int,
-    stop: int,
-    plan: Optional[SynthesisPlan],
-    n_blocks: int,
-) -> None:
     sigma = thermal_std_s
     scaling = plan.spectral_scaling if plan is not None else None
     ar_tables = plan.ar_tables if plan is not None else None

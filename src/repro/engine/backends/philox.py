@@ -1,11 +1,10 @@
 """Philox-tier synthesis backend: the counter-based RNG contract's executor.
 
-:class:`PhiloxBackend` runs the exact shared row loop of
-:mod:`repro.engine.backends.kernel` (inheriting the contiguous-row-block
-thread pool of :class:`~repro.engine.backends.threaded.ThreadedBackend`),
-so with spawn-contract streams it is bit-for-bit identical to every other
-backend — selecting it via ``--backend philox[:N]`` / ``REPRO_BACKEND``
-is always safe.
+:class:`PhiloxBackend` is the row-parallel executor of
+:class:`~repro.engine.backends.numpy_backend.NumpyBackend`, threading every
+multi-row call, so with spawn-contract streams it is bit-for-bit identical
+to every other backend — selecting it via ``--backend philox[:N]`` /
+``REPRO_BACKEND`` is always safe.
 
 What the tier *adds* is its native stream contract: ``rng_contract =
 "philox"`` tells contract resolution (see :func:`repro.engine.rng.
@@ -27,26 +26,27 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .threaded import ThreadedBackend
+from .numpy_backend import NumpyBackend, process_cores
 
 
-class PhiloxBackend(ThreadedBackend):
+class PhiloxBackend(NumpyBackend):
     """Counter-based-tier backend: shared kernel, index-keyed native streams.
 
     Parameters
     ----------
-    max_workers:
-        Thread count for contiguous row blocks (defaults to the host CPU
-        count), exactly as in :class:`~repro.engine.backends.threaded.
-        ThreadedBackend`; ``philox:1`` is the sequential reference loop.
+    workers:
+        Threads per call, as for ``threaded:N`` (defaults to the cores the
+        process may use); ``philox:1`` is the single-thread reference loop.
     """
 
     name = "philox"
     rng_contract = "philox"
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers=max_workers)
+    def __init__(self, workers: Optional[int] = None) -> None:
+        super().__init__(
+            process_cores() if workers is None else workers, threshold=0
+        )
 
     @property
     def spec(self) -> str:
-        return f"philox:{self.max_workers}"
+        return f"philox:{self.workers}"

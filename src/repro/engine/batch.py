@@ -160,10 +160,10 @@ class BatchedJitterSynthesizer:
     backend:
         Who executes the draw-and-shape kernel: a
         :class:`~repro.engine.backends.SynthesisBackend` instance, a spec
-        string (``"numpy"`` | ``"threaded[:N]"``) or ``None`` (the
-        ``REPRO_BACKEND`` environment default, falling back to the NumPy
-        reference).  Backend choice never changes output — every backend is
-        bit-for-bit identical to the reference.
+        string (``"numpy"`` | ``"threaded[:N]"`` | ``"auto[:N]"``) or ``None``
+        (the ``REPRO_BACKEND`` environment default, falling back to
+        ``"auto"``).  Backend choice never changes output — every backend is
+        bit-for-bit identical to the single-thread reference.
     """
 
     def __init__(

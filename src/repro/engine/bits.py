@@ -469,8 +469,8 @@ class BatchedEROTRNG:
         chunking, but changing the block changes the edge-time grid.
     backend:
         Synthesis backend for both ring-oscillator ensembles (instance, spec
-        string or ``None`` for the ``REPRO_BACKEND``/NumPy default).  Backend
-        choice never changes the generated bits.
+        string or ``None`` for the ``REPRO_BACKEND``/``auto`` default).
+        Backend choice never changes the generated bits.
     rng_contract:
         Stream contract the ``seed`` path derives under (``"spawn"`` |
         ``"philox"`` | ``None`` for the process default; see

@@ -693,7 +693,7 @@ def batched_bit_campaign(
         shard rows belong to one coherent campaign.
     backend:
         Synthesis backend for the per-divider TRNG ensembles (instance, spec
-        string or ``None`` for the ``REPRO_BACKEND``/NumPy default).
+        string or ``None`` for the ``REPRO_BACKEND``/``auto`` default).
         Backend choice never changes the campaign output.
     rng_contract:
         Stream contract the per-instance streams derive under (``"spawn"``

@@ -21,8 +21,15 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterator, Optional, Sequence, Tuple, TypeVar
 
+from ..backends import BACKEND_ENV_VAR, pool_worker_backend
+
 Task = TypeVar("Task")
 Result = TypeVar("Result")
+
+
+def _adopt_backend(spec: str) -> None:
+    """Pool-worker initializer: make ``spec`` this process's default backend."""
+    os.environ[BACKEND_ENV_VAR] = spec
 
 
 class SerialExecutor:
@@ -47,7 +54,9 @@ class MultiprocessExecutor:
     max_workers:
         Pool size; defaults to ``os.cpu_count()``.  More shards than workers
         is the normal regime — shards queue and keep every worker busy, which
-        is also what balances heterogeneous shard costs.
+        is also what balances heterogeneous shard costs.  Each worker's
+        default synthesis backend gets its share of the host's cores
+        (:func:`~repro.engine.backends.pool_worker_backend`).
     start_method:
         Optional ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``).  ``None`` uses the platform default.
@@ -78,7 +87,12 @@ class MultiprocessExecutor:
             else None
         )
         workers = min(self.max_workers, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
+            initializer=_adopt_backend,
+            initargs=(pool_worker_backend(workers),),
+        ) as pool:
             futures = {
                 pool.submit(function, task): position
                 for position, task in enumerate(tasks)

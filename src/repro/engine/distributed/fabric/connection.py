@@ -20,6 +20,8 @@ import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
+from ...backends import BACKEND_ENV_VAR, pool_worker_backend
+
 #: What a worker prints (stdout, flushed) once its socket is bound.
 ANNOUNCE_PREFIX = "repro-worker listening on "
 
@@ -160,13 +162,14 @@ class WorkerLink:
         return f"WorkerLink({self.name!r}, {state})"
 
 
-def _worker_environment() -> Dict[str, str]:
+def _worker_environment(pool_size: int) -> Dict[str, str]:
     """Subprocess environment with ``repro`` importable.
 
     The coordinator may run from a source checkout (``src`` layout) that the
     child would not otherwise see; prepending the package root to
     ``PYTHONPATH`` makes spawned workers work in both installed and
-    checkout setups.
+    checkout setups.  Each of the ``pool_size`` local workers defaults to
+    its share of the host's cores.
     """
     import repro
 
@@ -175,6 +178,7 @@ def _worker_environment() -> Dict[str, str]:
     existing = env.get("PYTHONPATH", "")
     paths = [package_root] + ([existing] if existing else [])
     env["PYTHONPATH"] = os.pathsep.join(paths)
+    env[BACKEND_ENV_VAR] = pool_worker_backend(pool_size, env)
     return env
 
 
@@ -183,8 +187,11 @@ def spawn_worker(
     backend: Optional[str] = None,
     startup_timeout: float = 30.0,
     python: Optional[str] = None,
+    pool_size: int = 1,
 ) -> WorkerLink:
     """Launch a localhost worker process and return a connected link.
+
+    ``pool_size`` is the number of local workers sharing this host's cores.
 
     The worker binds an ephemeral port and announces it on stdout
     (``repro-worker listening on 127.0.0.1:PORT``); this helper waits for
@@ -199,7 +206,7 @@ def spawn_worker(
         command,
         stdout=subprocess.PIPE,
         stderr=None,  # worker stderr stays visible for debugging
-        env=_worker_environment(),
+        env=_worker_environment(pool_size),
         text=True,
     )
     deadline = time.monotonic() + startup_timeout
@@ -240,7 +247,7 @@ def connect_workers(
                 WorkerLink(host, port).connect(timeout=connect_timeout)
             )
         for _ in range(int(spawn)):
-            links.append(spawn_worker(backend=backend))
+            links.append(spawn_worker(backend=backend, pool_size=spawn))
     except Exception:
         for link in links:
             link.close(kill=True)

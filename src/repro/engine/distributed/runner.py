@@ -27,11 +27,31 @@ from ..campaign import BatchedCampaignResult, BitCampaignResult
 from .checkpoint import CampaignCheckpoint
 from .executor import SerialExecutor
 from .merge import merge_bit_partials, merge_sigma2n_partials
-from .plan import ShardPlan, plan_shards_for_backend
+from .plan import ShardPlan, plan_shards, plan_shards_for_backend
 from .spec import BitCampaignSpec, CampaignSpec, Sigma2NCampaignSpec
 from .worker import run_shard
 
 CampaignResult = Union[BatchedCampaignResult, BitCampaignResult]
+
+
+def campaign_plan(
+    spec: CampaignSpec, executor, n_shards: Optional[int] = None
+) -> ShardPlan:
+    """The balanced plan :func:`run_campaign` runs when given no plan.
+
+    An explicit ``n_shards`` is honoured (capped only at one row per
+    shard).  The derived default, one shard per executor worker, is
+    backend-aware: an intra-shard parallel backend gets shards at least as
+    fat as its worker pool (:func:`plan_shards_for_backend`).
+    """
+    if n_shards is not None:
+        return plan_shards(spec.batch_size, n_shards)
+    return plan_shards_for_backend(
+        spec.batch_size,
+        getattr(executor, "max_workers", 1),
+        backend=spec.backend,
+        n_periods=getattr(spec, "n_periods", None),
+    )
 
 
 def run_campaign(
@@ -53,8 +73,8 @@ def run_campaign(
         — anything with ``run(function, tasks)`` yielding ``(position,
         result)`` pairs in completion order.
     n_shards:
-        Shard count for the default balanced plan (default: one shard per
-        executor worker, or 1 for serial execution).
+        Shard count of the balanced plan (default: one shard per executor
+        worker, or 1 for serial execution; see :func:`campaign_plan`).
     plan:
         Explicit :class:`ShardPlan`; overrides ``n_shards``.
     checkpoint_dir:
@@ -69,18 +89,7 @@ def run_campaign(
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires a checkpoint directory")
     if plan is None:
-        if n_shards is None:
-            n_shards = getattr(executor, "max_workers", 1)
-        # Backend-aware sizing: an intra-shard parallel backend (threaded,
-        # auto) gets shards at least as fat as its worker pool.  Explicit
-        # plans are honoured verbatim — checkpointed runs must resume on
-        # the exact plan they were started with.
-        plan = plan_shards_for_backend(
-            spec.batch_size,
-            n_shards,
-            backend=spec.backend,
-            n_periods=getattr(spec, "n_periods", None),
-        )
+        plan = campaign_plan(spec, executor, n_shards)
     elif plan.batch_size != spec.batch_size:
         raise ValueError(
             f"plan covers {plan.batch_size} rows but the spec has "

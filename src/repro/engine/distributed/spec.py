@@ -82,11 +82,11 @@ class Sigma2NCampaignSpec:
     instance always describes one reproducible campaign.
 
     ``backend`` is a synthesis-backend *spec string* (``"numpy"`` |
-    ``"threaded[:N]"``; ``None`` defers to the worker's ``REPRO_BACKEND``/
-    NumPy default), stored as a string so every shard re-creates the backend
-    host-side.  Backends are bit-for-bit equivalent, so the field selects
-    execution speed only — results, shard invariance and ``--verify`` are
-    unaffected.
+    ``"threaded[:N]"`` | ``"auto[:N]"``; ``None`` defers to the worker's
+    default, its share of the host's cores), stored as a string so every
+    shard re-creates the backend host-side.  Backends are bit-for-bit
+    equivalent, so the field selects execution speed only — results, shard
+    invariance and ``--verify`` are unaffected.
 
     ``rng_contract`` pins the *stream* contract (``"spawn"`` | ``"philox"``;
     see :mod:`repro.engine.rng`), resolved once at construction from the

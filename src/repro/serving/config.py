@@ -65,8 +65,11 @@ class ServiceConfig:
         (suspend submitters).
     backend:
         Synthesis backend spec string (``"numpy"`` | ``"threaded[:N]"`` |
-        ``"auto[:N]"``) or ``None`` for the ``REPRO_BACKEND``/NumPy default.
-        Backends are bit-for-bit equivalent; the choice selects speed only.
+        ``"auto[:N]"``) or ``None`` for the ``REPRO_BACKEND`` default, else
+        ``"auto"``: every core the process may use for calls of at least
+        :data:`~repro.engine.backends.AUTO_THRESHOLD` row-samples (a
+        coalesced burst threads, a ``B = 1`` solo does not).  Backends are
+        bit-for-bit equivalent; the choice selects speed only.
     class_wait_ms:
         Absolute per-priority window overrides as sorted ``(class, ms)``
         pairs (see :class:`~repro.serving.coalescer.Coalescer`); classes not

@@ -2,14 +2,18 @@
 
 The tentpole contract (ISSUE 5): a synthesis backend is only trustworthy if
 its output is **bit-for-bit identical** to :class:`NumpyBackend` for every
-workload shape.  This matrix drives backend {numpy, threaded:1, threaded:4}
-x flicker_method {spectral, non-spectral} x batch size {1, 3, 64} x API
-{decompose, periods, jitter, stream_bits chunking}, including zero-sigma and
+workload shape.  This matrix drives backend {numpy, threaded:1, threaded:4,
+threaded:8, auto:4, philox:1, philox:4} x flicker_method {spectral,
+non-spectral} x batch size {1, 3, 64} x API {decompose, periods, jitter,
+stream_bits chunking}, including zero-sigma and
 zero-h_-1 rows whose draws must be skipped identically, plus the resolver /
 spec / validation surface around the backends.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,12 +22,15 @@ from repro.engine.backends import (
     BACKEND_ENV_VAR,
     NumpyBackend,
     SynthesisBackend,
-    ThreadedBackend,
     parse_backend_spec,
     resolve_backend,
     validate_backend_spec,
 )
-from repro.engine.batch import BatchedJitterSynthesizer, BatchedOscillatorEnsemble
+from repro.engine.batch import (
+    BatchedJitterSynthesizer,
+    BatchedOscillatorEnsemble,
+    spawn_generators,
+)
 from repro.engine.bits import BatchedEROTRNG
 from repro.paper import PAPER_F0_HZ
 from repro.phase.psd import PhaseNoisePSD
@@ -32,13 +39,23 @@ from repro.trng.ero_trng import EROTRNGConfiguration
 F0 = PAPER_F0_HZ
 
 #: Candidate backends, every one required to match the reference bitwise.
-#: ``auto:4`` exercises the cost-model dispatcher (whichever side it picks
-#: must still be bit-for-bit the reference).  ``philox:*`` prove execution
-#: is stream-agnostic: the philox-tier executor on the same streams as the
-#: reference (an engine ``backend=`` argument selects execution only; the
-#: stream contract is pinned separately — see tests/engine/
-#: test_rng_contract.py and tests/property/test_philox_contract.py).
-BACKENDS = ("numpy", "threaded:1", "threaded:4", "auto:4", "philox:1", "philox:4")
+#: ``threaded:8`` runs more threads than most hosts have cores, so ranges
+#: interleave arbitrarily.  ``auto:4`` exercises the threshold (whichever
+#: way a call goes it must still be bit-for-bit the reference).
+#: ``philox:*`` prove execution is stream-agnostic: the philox-tier executor
+#: on the same streams as the reference (an engine ``backend=`` argument
+#: selects execution only; the stream contract is pinned separately — see
+#: tests/engine/test_rng_contract.py and tests/property/
+#: test_philox_contract.py).
+BACKENDS = (
+    "numpy",
+    "threaded:1",
+    "threaded:4",
+    "threaded:8",
+    "auto:4",
+    "philox:1",
+    "philox:4",
+)
 
 #: The spectral FFT fast path and the non-spectral per-row fallback.
 FLICKER_METHODS_UNDER_TEST = ("spectral", "ar")
@@ -165,15 +182,54 @@ class TestBitStreamMatrix:
         )
 
 
+class TestOversubscribedRanges:
+    """Eight threads, the GIL handed over every microsecond: the row ranges
+    still reproduce the single-thread reference bit for bit."""
+
+    @pytest.mark.parametrize("contract", ["spawn", "philox"])
+    @pytest.mark.parametrize("method", ["spectral", "ar", "hosking"])
+    @pytest.mark.parametrize("n_blocks", [1, 4])
+    @pytest.mark.parametrize("batch", [2, 3, 33])
+    def test_fast_switching_matches_reference(self, batch, n_blocks, method, contract):
+        n = 32 if method == "hosking" else 64
+        b_thermal, b_flicker = _coefficients(batch)
+        sigma, h_minus1 = b_thermal * 1e-14, b_flicker * 1e-22
+
+        def synthesize(backend):
+            rngs = spawn_generators(11, batch, rng_contract=contract)
+            return backend.synthesize(
+                n, rngs, sigma, h_minus1, method, n_blocks=n_blocks
+            )
+
+        reference = synthesize(NumpyBackend())
+        backend = NumpyBackend(8, threshold=0)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: results.extend(synthesize(backend) for _ in range(3))
+            )
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert len(results) == 3
+        for thermal, pink in results:
+            np.testing.assert_array_equal(reference[0], thermal)
+            np.testing.assert_array_equal(reference[1], pink)
+
+
 class TestBackendResolution:
     def test_parse_specs(self):
         assert isinstance(parse_backend_spec("numpy"), NumpyBackend)
         threaded = parse_backend_spec("threaded:3")
-        assert isinstance(threaded, ThreadedBackend)
-        assert threaded.max_workers == 3
+        assert isinstance(threaded, NumpyBackend)
+        assert (threaded.workers, threaded.threshold) == (3, 0)
         assert threaded.spec == "threaded:3"
         default = parse_backend_spec("threaded")
-        assert default.max_workers >= 1
+        assert default.workers >= 1
 
     @pytest.mark.parametrize("spec", ["gpu", "numpy:2", "threaded:x", "threaded:0", ""])
     def test_invalid_specs_rejected(self, spec):
@@ -182,9 +238,10 @@ class TestBackendResolution:
 
     def test_resolve_passthrough_and_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        backend = ThreadedBackend(max_workers=2)
+        backend = NumpyBackend(2, threshold=0)
         assert resolve_backend(backend) is backend
         assert isinstance(resolve_backend(None), NumpyBackend)
+        assert resolve_backend(None).spec == parse_backend_spec("auto").spec
         assert isinstance(resolve_backend("numpy"), NumpyBackend)
         with pytest.raises(TypeError):
             resolve_backend(3)
@@ -193,8 +250,7 @@ class TestBackendResolution:
         """REPRO_BACKEND switches the process default — the CI lever."""
         monkeypatch.setenv(BACKEND_ENV_VAR, "threaded:2")
         resolved = resolve_backend(None)
-        assert isinstance(resolved, ThreadedBackend)
-        assert resolved.max_workers == 2
+        assert resolved.spec == "threaded:2"
         # Explicit selection always beats the environment.
         assert isinstance(resolve_backend("numpy"), NumpyBackend)
         monkeypatch.setenv(BACKEND_ENV_VAR, "")
@@ -204,7 +260,7 @@ class TestBackendResolution:
         monkeypatch.setenv(BACKEND_ENV_VAR, "threaded:2")
         psd = PhaseNoisePSD(b_thermal_hz=276.04, b_flicker_hz2=0.0)
         ensemble = BatchedOscillatorEnsemble(F0, psd, batch_size=2, seed=1)
-        assert isinstance(ensemble.backend, ThreadedBackend)
+        assert ensemble.backend.spec == "threaded:2"
 
     def test_validate_backend_spec_for_serialization(self):
         assert validate_backend_spec(None) is None
@@ -219,15 +275,15 @@ class TestBackendResolution:
         first = reference.periods(64)
         np.testing.assert_array_equal(first, switching.periods(64))
         switching.use_backend("threaded:2")
-        assert isinstance(switching.backend, ThreadedBackend)
+        assert switching.backend.spec == "threaded:2"
         # Mid-stream backend swap: the continuation is still bit-for-bit.
         np.testing.assert_array_equal(reference.periods(64), switching.periods(64))
 
     def test_trng_use_backend_rebinds_both_ensembles(self):
         trng = BatchedEROTRNG(TestBitStreamMatrix.CONFIGURATION, batch_size=2, seed=3)
         trng.use_backend("threaded:2")
-        assert isinstance(trng.sampled_ensemble.backend, ThreadedBackend)
-        assert isinstance(trng.sampling_ensemble.backend, ThreadedBackend)
+        assert trng.sampled_ensemble.backend.spec == "threaded:2"
+        assert trng.sampling_ensemble.backend.spec == "threaded:2"
         # One resolution per call: both ensembles share one instance (and
         # therefore one thread pool), even from a spec string.
         assert trng.sampled_ensemble.backend is trng.sampling_ensemble.backend
@@ -252,7 +308,7 @@ class TestBackendResolution:
         """Regression: racing first-use must not leak a second thread pool."""
         import threading
 
-        backend = ThreadedBackend(max_workers=2)
+        backend = NumpyBackend(3, threshold=0)
         pools = []
         barrier = threading.Barrier(4)
 
@@ -285,8 +341,8 @@ class TestBackendResolution:
         fast = BatchedOscillatorEnsemble(F0 * 1.0005, psd, batch_size=2, seed=0)
         slow = BatchedOscillatorEnsemble(F0 * 0.9995, psd, batch_size=2, seed=1)
         sampler = BatchedDFlipFlopSampler(fast, slow, divider=8, backend="threaded:2")
-        assert isinstance(fast.backend, ThreadedBackend)
-        assert isinstance(slow.backend, ThreadedBackend)
+        assert fast.backend.spec == "threaded:2"
+        assert slow.backend.spec == "threaded:2"
         reference_fast = BatchedOscillatorEnsemble(
             F0 * 1.0005, psd, batch_size=2, seed=0
         )
@@ -303,7 +359,7 @@ class TestBackendResolution:
             SynthesisBackend()
 
     def test_repr_shows_spec(self):
-        assert "threaded:2" in repr(ThreadedBackend(2))
+        assert "threaded:2" in repr(NumpyBackend(2, threshold=0))
         assert "numpy" in repr(NumpyBackend())
 
 

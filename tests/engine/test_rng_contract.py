@@ -90,7 +90,7 @@ class TestContractResolution:
         assert isinstance(backend, PhiloxBackend)
         assert backend.rng_contract == "philox"
         assert backend.spec == "philox:3"
-        assert backend.max_workers == 3
+        assert backend.workers == 3
         assert resolve_backend("numpy").rng_contract == "spawn"
 
 

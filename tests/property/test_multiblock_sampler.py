@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.engine import bits as bits_module
-from repro.engine.backends import NumpyBackend, ThreadedBackend
+from repro.engine.backends import NumpyBackend
 from repro.engine.batch import BatchedOscillatorEnsemble, spawn_generators
 from repro.engine.bits import BatchedDFlipFlopSampler
 from repro.engine.rng import PhiloxRowStream
@@ -229,7 +229,10 @@ class TestMultiBlockBackendCall:
 
     @pytest.mark.parametrize("contract", ["spawn", "philox"])
     @pytest.mark.parametrize("method", ["spectral", "ar", "hosking"])
-    @pytest.mark.parametrize("backend", [NumpyBackend(), ThreadedBackend(2)])
+    @pytest.mark.parametrize(
+        "backend",
+        [NumpyBackend(), NumpyBackend(2, threshold=0), NumpyBackend(8, threshold=0)],
+    )
     def test_k_blocks_equal_k_calls(self, backend, method, contract):
         n, k = 64, 5
         rngs, sigma, h_minus1 = self._inputs(contract)
