@@ -55,14 +55,17 @@ def _format_number(value: float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _label_pairs(labelnames, key) -> List[str]:
+    return [
+        f'{sanitize_name(name)}="{_escape_label(value)}"'
+        for name, value in zip(labelnames, key)
+    ]
+
+
 def _label_clause(labelnames, key) -> str:
     if not labelnames:
         return ""
-    pairs = ",".join(
-        f'{sanitize_name(name)}="{_escape_label(value)}"'
-        for name, value in zip(labelnames, key)
-    )
-    return "{" + pairs + "}"
+    return "{" + ",".join(_label_pairs(labelnames, key)) + "}"
 
 
 def render_prometheus(*registries: Optional[MetricsRegistry]) -> str:
@@ -87,13 +90,17 @@ def render_prometheus(*registries: Optional[MetricsRegistry]) -> str:
                 clause = _label_clause(metric.labelnames, key)
                 lines.append(f"{name}{clause} {_format_number(value)}")
         elif isinstance(metric, Histogram):
-            for edge, cumulative in metric.cumulative():
-                lines.append(
-                    f'{name}_bucket{{le="{_format_number(float(edge))}"}} '
-                    f"{cumulative}"
-                )
-            lines.append(f"{name}_sum {_format_number(metric.sum)}")
-            lines.append(f"{name}_count {metric.count}")
+            series = metric.items() if metric.labelnames else [((), metric)]
+            for key, histogram in series:
+                pairs = _label_pairs(metric.labelnames, key)
+                clause = _label_clause(metric.labelnames, key)
+                for edge, cumulative in histogram.cumulative():
+                    le = f'le="{_format_number(float(edge))}"'
+                    lines.append(
+                        f"{name}_bucket{{{','.join(pairs + [le])}}} {cumulative}"
+                    )
+                lines.append(f"{name}_sum{clause} {_format_number(histogram.sum)}")
+                lines.append(f"{name}_count{clause} {histogram.count}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,8 @@ The instruments:
 * :class:`Histogram` — fixed log-spaced buckets (Prometheus ``le``
   semantics: a value lands in every bucket whose upper edge is **>=** the
   value, edges inclusive), plus running sum/count and a linear-interpolated
-  :meth:`~Histogram.quantile` for one-line summaries.
+  :meth:`~Histogram.quantile` for one-line summaries; optional labels keep
+  one child histogram per label combination.
 
 ``configure_metrics(enabled=False)`` is the **global kill switch**: every
 mutator becomes a no-op (one module-global boolean test on the fast path),
@@ -211,8 +212,10 @@ class Histogram(Metric):
     bucket), with an implicit ``+Inf`` overflow bucket at the end.  ``0``
     therefore lands in the first finite bucket; ``inf`` only in ``+Inf``.
 
-    Unlabeled (labels on histograms are deliberately unsupported: the hot
-    paths that observe into one are single-purpose).
+    With ``labelnames``, every label combination gets its own child
+    histogram (same edges): ``observe(value, route="/v1/bits")`` lands in
+    the child that :meth:`labels` returns, and :meth:`items` lists them.
+    The labeled parent's own buckets, sum and count stay empty.
     """
 
     kind = "histogram"
@@ -222,8 +225,9 @@ class Histogram(Metric):
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
+        labelnames: Sequence[str] = (),
     ) -> None:
-        super().__init__(name, help, ())
+        super().__init__(name, help, labelnames)
         edges = tuple(float(edge) for edge in (buckets or LATENCY_BUCKETS))
         if not edges:
             raise ValueError("a histogram needs at least one bucket edge")
@@ -236,15 +240,37 @@ class Histogram(Metric):
         self._counts = [0] * (len(edges) + 1)
         self._sum = 0.0
         self._count = 0
+        self._children: Dict[_LabelKey, "Histogram"] = {}
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, **labels: str) -> None:
         if not _enabled:
+            return
+        if labels or self.labelnames:
+            self.labels(**labels).observe(value)
             return
         index = bisect_left(self.edges, value)
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+
+    def labels(self, **labels: str) -> "Histogram":
+        """The child histogram of one label combination (itself if unlabeled)."""
+        key = self._key(labels)
+        if not key:
+            return self
+        with self._lock:
+            child = self._children.get(key)
+            if child is None:
+                child = self._children[key] = Histogram(
+                    self.name, self.help, self.edges
+                )
+            return child
+
+    def items(self) -> List[Tuple[_LabelKey, "Histogram"]]:
+        """``(label_key, child)`` pairs of a labeled histogram, sorted."""
+        with self._lock:
+            return sorted(self._children.items())
 
     @property
     def count(self) -> int:
@@ -306,6 +332,11 @@ class Histogram(Metric):
         return self.edges[-1]
 
     def snapshot(self) -> Dict:
+        if self.labelnames:
+            return {
+                _label_string(self, key): child.snapshot()
+                for key, child in self.items()
+            }
         with self._lock:
             counts = list(self._counts)
             total, running_sum = self._count, self._sum
@@ -326,6 +357,7 @@ class Histogram(Metric):
             self._counts = [0] * (len(self.edges) + 1)
             self._sum = 0.0
             self._count = 0
+            self._children.clear()
 
 
 def _label_string(metric: Metric, key: _LabelKey) -> str:
@@ -358,10 +390,7 @@ class MetricsRegistry:
                         f"{existing.kind}, not a {metric_cls.kind}"
                     )
                 expected = tuple(kwargs.get("labelnames", ()) or ())
-                if (
-                    metric_cls is not Histogram
-                    and existing.labelnames != expected
-                ):
+                if existing.labelnames != expected:
                     raise ValueError(
                         f"metric {name!r} is already registered with labels "
                         f"{list(existing.labelnames)}, not {list(expected)}"
@@ -382,9 +411,15 @@ class MetricsRegistry:
         return self._register(Gauge, name, help, labelnames=labelnames)
 
     def histogram(
-        self, name: str, help: str = "", buckets: Optional[Sequence[float]] = None
+        self,
+        name: str,
+        help: str = "",
+        buckets: Optional[Sequence[float]] = None,
+        labelnames: Sequence[str] = (),
     ) -> Histogram:
-        return self._register(Histogram, name, help, buckets=buckets)
+        return self._register(
+            Histogram, name, help, buckets=buckets, labelnames=labelnames
+        )
 
     def get(self, name: str) -> Optional[Metric]:
         with self._lock:

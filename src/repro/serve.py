@@ -70,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="base coalescing window of a normal-priority batch leader",
+        help="base coalescing window of a normal-priority batch leader: "
+        "the longest a batch waits; it dispatches once half of it passes "
+        "with no compatible arrival",
     )
     parser.add_argument(
         "--class-wait-ms",

@@ -10,11 +10,17 @@ against them:
   pending pool and the most urgent one (priority class first, arrival order
   within a class) leads the next batch, so an ``interactive`` request never
   queues behind a backlog of ``batch`` work.
-* **Per-class windows** — how long a batch waits for companions is the
+* **Per-class windows, closed by an idle gap** — a batch's window is the
   *smallest* class window among its members: ``interactive`` requests shrink
   the window they ride in (low latency), ``batch`` requests stretch their
   own (better amortization).  The per-class window is ``max_wait_ms`` scaled
   by :data:`DEFAULT_CLASS_WAIT_FACTORS`, or an absolute override per class.
+  The window is a *cap*: the batch dispatches as soon as it is full, or
+  once no compatible request has arrived for half its window (the idle
+  gap, measured from the leader claim or the last compatible arrival), or
+  when the cap is reached.  A lone request therefore waits about half the
+  window, not all of it, while a burst whose requests arrive closer
+  together than the gap still forms one batch.
 * **Deadline fast-fail** — a request whose ``deadline_ms`` budget expired
   before dispatch is failed with
   :class:`~repro.serving.queue.DeadlineExceeded` and **never consumes a row
@@ -33,7 +39,12 @@ converts unbounded waiting into a fast, explicit failure).
 
 With ``max_batch=1`` the window is skipped entirely: every request is its
 own batch (the serial reference mode the determinism tests and the serving
-benchmark compare against).
+benchmark compare against).  With ``max_wait_ms=0`` a batch takes what has
+already arrived and dispatches at once.
+
+Why each batch closed is counted in ``serve_coalesce_closed_total{reason}``:
+``full``, ``idle`` (the gap passed with no compatible arrival), ``window``
+(the class-window cap) or ``deadline`` (a member's deadline guard).
 """
 
 from __future__ import annotations
@@ -60,6 +71,13 @@ _RANK = {priority: rank for rank, priority in enumerate(PRIORITIES)}
 #: ``deadline_at`` would expire the request in the pre-dispatch recheck).
 _DISPATCH_GUARD_S = 2e-3
 
+#: A batch closes once no compatible request has arrived for this fraction
+#: of its class window.  Half the window keeps bursts split across
+#: connections whole (their inner arrival gaps stay well under 1 ms at the
+#: default 2 ms window), and asyncio's epoll loop rounds shorter timeouts up
+#: to 1 ms anyway.
+_IDLE_GAP_FRACTION = 0.5
+
 
 class Coalescer:
     """Groups compatible pending requests within a priority-scaled window.
@@ -69,14 +87,17 @@ class Coalescer:
     max_batch:
         Most requests one engine call may serve; ``1`` disables coalescing.
     max_wait_ms:
-        Base coalescing window of a ``normal``-priority batch leader.
+        Base coalescing window of a ``normal``-priority batch leader: the
+        longest a batch waits for companions.  It closes earlier once half
+        its window passes with no compatible arrival.
     class_wait_ms:
         Optional absolute per-class window overrides, e.g.
         ``{"interactive": 0.5, "batch": 20.0}``; classes not named fall back
         to ``max_wait_ms`` x :data:`DEFAULT_CLASS_WAIT_FACTORS`.
     metrics:
         Registry for the ``serving_coalesce_wait_seconds`` histogram (time
-        from leader claim to batch dispatch) and the
+        from leader claim to batch dispatch), the
+        ``serve_coalesce_closed_total{reason}`` counter and the
         ``serve_deadline_expired_total`` counter.  A private registry is
         used when omitted (direct/test use).
     """
@@ -120,6 +141,13 @@ class Coalescer:
             "serving_coalesce_wait_seconds",
             "Seconds from batch-leader claim to batch dispatch (the realized "
             "coalescing window per engine call)",
+        )
+        self._closed = registry.counter(
+            "serve_coalesce_closed_total",
+            "Coalesced batches by why they dispatched: full, idle (no "
+            "compatible arrival for half the batch's window), window (the "
+            "class-window cap) or deadline (a member's deadline guard)",
+            labelnames=("reason",),
         )
         self._expired = registry.counter(
             "serve_deadline_expired_total",
@@ -178,9 +206,10 @@ class Coalescer:
 
         Suspends until at least one live request is available; then collects
         compatible requests (same :meth:`group_key` as the leader) from the
-        pool and the queue until ``max_batch`` is reached or the batch's
-        window — the smallest class window among its members, capped by the
-        earliest live deadline — closes.
+        pool and the queue until ``max_batch`` is reached, half the batch's
+        window passes with no compatible arrival, or the window itself — the
+        smallest class window among its members, capped by the earliest live
+        deadline — closes.
         """
         while True:
             batch = await self._collect(queue)
@@ -212,16 +241,30 @@ class Coalescer:
             self._pool.append(pending)
 
         leader = self._take_leader()
-        batch = [leader]
+        batch: List[PendingRequest] = []
         opened = time.monotonic()
+        # The batch's class window (smallest among its members) sets both
+        # the idle gap and the cap; a live deadline may pull the cap in.
+        window_s = float("inf")
+        cap, cap_reason = float("inf"), "window"
+
+        def join(member: PendingRequest) -> None:
+            nonlocal window_s, cap, cap_reason
+            batch.append(member)
+            window_s = min(window_s, self._window_s(member))
+            if opened + window_s < cap:
+                cap, cap_reason = opened + window_s, "window"
+            if member.deadline_at is not None:
+                guarded = member.deadline_at - _DISPATCH_GUARD_S
+                if guarded < cap:
+                    cap, cap_reason = guarded, "deadline"
+
+        join(leader)
         try:
             if self.max_batch == 1:
-                self._wait_seconds.observe(0.0)
+                self._close(opened, "full")
                 return batch
             key = leader.request.group_key()
-            window_end = opened + self._window_s(leader)
-            if leader.deadline_at is not None:
-                window_end = min(window_end, leader.deadline_at - _DISPATCH_GUARD_S)
 
             # Pooled requests are reconsidered first, in arrival order.
             remaining: List[PendingRequest] = []
@@ -230,19 +273,19 @@ class Coalescer:
                     len(batch) < self.max_batch
                     and candidate.request.group_key() == key
                 ):
-                    batch.append(candidate)
-                    window_end = min(window_end, opened + self._window_s(candidate))
-                    if candidate.deadline_at is not None:
-                        window_end = min(
-                            window_end, candidate.deadline_at - _DISPATCH_GUARD_S
-                        )
+                    join(candidate)
                 else:
                     remaining.append(candidate)
             self._pool = remaining
 
-            loop = asyncio.get_running_loop()
+            last_arrival = opened
             while len(batch) < self.max_batch:
-                timeout = window_end - time.monotonic()
+                idle_end = last_arrival + window_s * _IDLE_GAP_FRACTION
+                if cap <= idle_end:
+                    end, reason = cap, cap_reason
+                else:
+                    end, reason = idle_end, "idle"
+                timeout = end - time.monotonic()
                 if timeout <= 0.0:
                     break
                 try:
@@ -252,15 +295,13 @@ class Coalescer:
                 if candidate.expired():
                     self._expire(candidate, time.monotonic())
                 elif candidate.request.group_key() == key:
-                    batch.append(candidate)
-                    window_end = min(window_end, opened + self._window_s(candidate))
-                    if candidate.deadline_at is not None:
-                        window_end = min(
-                            window_end, candidate.deadline_at - _DISPATCH_GUARD_S
-                        )
+                    join(candidate)
+                    last_arrival = time.monotonic()
                 else:
                     self._pool.append(candidate)
-            self._wait_seconds.observe(time.monotonic() - opened)
+            else:
+                reason = "full"  # the loop ran out of room, not of time
+            self._close(opened, reason)
             return batch
         except asyncio.CancelledError:
             # Service shutdown mid-window: the requests captured so far are
@@ -269,3 +310,7 @@ class Coalescer:
             # their futures would hang forever.
             self._pool.extend(batch)
             raise
+
+    def _close(self, opened: float, reason: str) -> None:
+        self._wait_seconds.observe(time.monotonic() - opened)
+        self._closed.inc(reason=reason)

@@ -57,7 +57,9 @@ class ServiceConfig:
     max_batch:
         Most requests one engine call may serve; ``1`` disables coalescing.
     max_wait_ms:
-        Base coalescing window of a ``normal``-priority batch leader.
+        Base coalescing window of a ``normal``-priority batch leader.  It
+        is a cap: a batch dispatches earlier once it is full, or once half
+        its window passes with no compatible arrival.
     max_pending:
         Bound of the request queue — the backpressure knob.
     overflow:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -145,6 +146,11 @@ class HTTPGateway:
             "HTTP requests served by the gateway",
             labelnames=("method", "route", "status"),
         )
+        self._request_seconds = service.registry.histogram(
+            "http_request_seconds",
+            "Seconds from a parsed request line to its written response",
+            labelnames=("route", "status"),
+        )
         self._ws_connections = service.registry.counter(
             "http_websocket_connections_total",
             "WebSocket streaming connections accepted",
@@ -223,9 +229,14 @@ class HTTPGateway:
                 if request.path == "/v1/stream" and request.wants_websocket:
                     await self._serve_websocket(request, reader, writer)
                     break
-                response, keep_alive = await self._respond(request)
+                response, keep_alive, route, status = await self._respond(request)
                 writer.write(response)
                 await writer.drain()
+                self._request_seconds.observe(
+                    time.monotonic() - request.started,
+                    route=route,
+                    status=str(status),
+                )
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -240,8 +251,8 @@ class HTTPGateway:
     def _count(self, method: str, route: str, status: int) -> None:
         self._requests_total.inc(method=method, route=route, status=str(status))
 
-    async def _respond(self, request: HTTPRequest) -> Tuple[bytes, bool]:
-        """One routed exchange; returns ``(response_bytes, keep_alive)``."""
+    async def _respond(self, request: HTTPRequest) -> Tuple[bytes, bool, str, int]:
+        """One routed exchange: ``(response_bytes, keep_alive, route, status)``."""
         content_type = "application/json"
         try:
             route, handler = self._route(request)
@@ -266,6 +277,8 @@ class HTTPGateway:
         return (
             render_response(status, body, content_type, headers=headers),
             keep_alive,
+            route,
+            status,
         )
 
     def _route(self, request: HTTPRequest):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import hashlib
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -82,6 +83,9 @@ class HTTPRequest:
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
     version: str = "HTTP/1.1"
+    #: ``time.monotonic()`` once the request line was parsed (the start of
+    #: the exchange that ``http_request_seconds`` times).
+    started: float = 0.0
 
     @property
     def keep_alive(self) -> bool:
@@ -126,6 +130,7 @@ async def read_request(
         raise HTTPError(505, f"unsupported HTTP version {version!r}")
     if not method.isalpha():
         raise HTTPError(400, f"malformed method {method[:32]!r}")
+    started = time.monotonic()
     split = urlsplit(target)
     headers = await _read_headers(reader)
     body = await _read_body(reader, headers, max_body)
@@ -136,6 +141,7 @@ async def read_request(
         headers=headers,
         body=body,
         version=version,
+        started=started,
     )
 
 

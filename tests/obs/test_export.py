@@ -61,6 +61,21 @@ class TestPrometheusExposition:
         assert samples["rtt_seconds_count"] == "4"
         assert float(samples["rtt_seconds_sum"]) == pytest.approx(6.5)
 
+    def test_labeled_histogram_series(self):
+        registry = MetricsRegistry("labeled")
+        hist = registry.histogram(
+            "req_seconds", "", buckets=(1.0,), labelnames=("route",)
+        )
+        hist.observe(0.5, route="/a")
+        hist.observe(2.0, route="/a")
+        hist.observe(0.5, route="/b")
+        lines = set(render_prometheus(registry).splitlines())
+        assert 'req_seconds_bucket{route="/a",le="1"} 1' in lines
+        assert 'req_seconds_bucket{route="/a",le="+Inf"} 2' in lines
+        assert 'req_seconds_sum{route="/a"} 2.5' in lines
+        assert 'req_seconds_count{route="/a"} 2' in lines
+        assert 'req_seconds_count{route="/b"} 1' in lines
+
     def test_help_lines_present(self, registry):
         text = render_prometheus(registry)
         assert "# HELP serve_requests_total Requests submitted" in text

@@ -130,6 +130,33 @@ class TestHistogramEdges:
         with pytest.raises(ValueError):
             Histogram("bad_inf", "", buckets=(1.0, math.inf))
 
+    def test_labels_keep_one_child_per_combination(self, registry):
+        hist = registry.histogram(
+            "hlab", "", buckets=(1.0, 2.0), labelnames=("route", "status")
+        )
+        hist.observe(0.5, route="/a", status="200")
+        hist.observe(1.5, route="/a", status="200")
+        hist.observe(3.0, route="/b", status="404")
+        child = hist.labels(route="/a", status="200")
+        assert child.bucket_counts() == [1, 1, 0]
+        assert child.count == 2 and child.sum == 2.0
+        assert [key for key, _ in hist.items()] == [("/a", "200"), ("/b", "404")]
+        assert hist.count == 0  # observations live in the children
+        snapshot = hist.snapshot()
+        assert snapshot["route=/b,status=404"]["count"] == 1
+        with pytest.raises(ValueError):
+            hist.observe(1.0)  # missing labels
+        with pytest.raises(ValueError):
+            registry.histogram("hlab", "")  # re-registered without labels
+        hist.reset()
+        assert hist.items() == []
+
+    def test_unlabeled_histogram_rejects_labels(self, registry):
+        hist = registry.histogram("hplain", "", buckets=(1.0,))
+        with pytest.raises(ValueError):
+            hist.observe(0.5, route="/a")
+        assert hist.labels() is hist
+
     def test_concurrent_observations(self, registry):
         hist = registry.histogram("hconc", "", buckets=(0.5,))
         n_threads, per_thread = 8, 2_000

@@ -146,6 +146,8 @@ class TestImmediateDispatchWindow:
             snapshot = histogram.snapshot()
             assert snapshot["count"] == 1
             assert snapshot["sum"] < 0.5  # no realized window
+            closed = registry.get("serve_coalesce_closed_total")
+            assert closed.value(reason="window") == 1
 
         run(scenario())
 
@@ -160,6 +162,7 @@ class TestCoalesceWaitObservability:
                 text = render_prometheus(service.registry)
             assert stats["coalesce_wait_seconds"]["count"] >= 1
             assert "serving_coalesce_wait_seconds" in text
+            assert 'serve_coalesce_closed_total{reason="idle"} 1' in text
             assert "serve_deadline_expired_total 0" in text
 
         run(scenario())

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.obs import render_prometheus
 from repro.serving import ServiceConfig, TRNGService, TRNGServer
 from repro.serving.http import CODE_STATUS, HTTPGateway, http_request
 from repro.serving.http.wire import (
@@ -245,6 +246,32 @@ class TestObservabilityEndpoints:
             assert "http_requests_total" in text
 
         run(scenario())
+
+    def test_request_latency_histogram_observes_once_per_request(self):
+        async def scenario():
+            async with _Stack(max_batch=4, max_wait_ms=1.0) as stack:
+                histogram = stack.service.registry.get("http_request_seconds")
+                status, reply = await stack.http("POST", "/v1/bits", dict(BITS_BODY))
+                assert status == 200 and reply["ok"]
+                after_one = histogram.snapshot()
+                status, _ = await stack.http("GET", "/nope")
+                assert status == 404
+                return histogram.snapshot(), after_one, render_prometheus(
+                    stack.service.registry
+                )
+
+        snapshot, after_one, text = run(scenario())
+        # Exactly one observation, under the route and status it was served.
+        assert list(after_one) == ["route=/v1/bits,status=200"]
+        bits = after_one["route=/v1/bits,status=200"]
+        assert bits["count"] == 1
+        assert 0.0 < bits["sum"] < 10.0
+        assert snapshot["route=error,status=404"]["count"] == 1
+        assert snapshot["route=/v1/bits,status=200"]["count"] == 1
+        assert (
+            'http_request_seconds_count{route="/v1/bits",status="200"} 1'
+            in text.splitlines()
+        )
 
     def test_healthz_reports_queue_and_session_state(self):
         async def scenario():

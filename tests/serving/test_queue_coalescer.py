@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.serving import (
     BitsRequest,
     Coalescer,
@@ -21,8 +23,14 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-def _request(seed: int, divider: int = 8) -> BitsRequest:
-    return BitsRequest(n_bits=4, divider=divider, seed=seed)
+def _request(seed: int, divider: int = 8, **kwargs) -> BitsRequest:
+    return BitsRequest(n_bits=4, divider=divider, seed=seed, **kwargs)
+
+
+def _closed(registry: MetricsRegistry) -> dict:
+    """``serve_coalesce_closed_total`` as ``{reason: count}``."""
+    counter = registry.get("serve_coalesce_closed_total")
+    return {key[0]: value for key, value in counter.items()}
 
 
 class TestRequestQueue:
@@ -95,13 +103,15 @@ class TestCoalescer:
     def test_groups_compatible_requests_up_to_max_batch(self):
         async def scenario():
             queue = RequestQueue()
-            coalescer = Coalescer(max_batch=3, max_wait_ms=50.0)
+            registry = MetricsRegistry("test")
+            coalescer = Coalescer(max_batch=3, max_wait_ms=50.0, metrics=registry)
             for seed in range(5):
                 await queue.submit(_request(seed))
             batch = await coalescer.next_batch(queue)
             assert [p.request.seed for p in batch] == [0, 1, 2]
             batch = await coalescer.next_batch(queue)
             assert [p.request.seed for p in batch] == [3, 4]
+            assert _closed(registry) == {"full": 1, "idle": 1}
 
         run(scenario())
 
@@ -125,12 +135,16 @@ class TestCoalescer:
     def test_max_batch_one_skips_the_window(self):
         async def scenario():
             queue = RequestQueue()
-            coalescer = Coalescer(max_batch=1, max_wait_ms=10_000.0)
+            registry = MetricsRegistry("test")
+            coalescer = Coalescer(
+                max_batch=1, max_wait_ms=10_000.0, metrics=registry
+            )
             await queue.submit(_request(1))
             batch = await asyncio.wait_for(
                 coalescer.next_batch(queue), timeout=1.0
             )
             assert len(batch) == 1
+            assert _closed(registry) == {"full": 1}
 
         run(scenario())
 
@@ -151,6 +165,138 @@ class TestCoalescer:
             Coalescer(max_batch=0)
         with pytest.raises(ValueError):
             Coalescer(max_wait_ms=-1.0)
+
+
+class TestIdleGap:
+    """A batch closes once half its class window passes with no arrival.
+
+    ``max_wait_ms=400`` puts the idle gap at 200 ms, wide enough that
+    scheduler jitter on a loaded machine cannot flip the outcomes.
+    """
+
+    WAIT_MS = 400.0
+
+    def _coalescer(self, registry, **kwargs):
+        return Coalescer(
+            max_batch=8, max_wait_ms=self.WAIT_MS, metrics=registry, **kwargs
+        )
+
+    @staticmethod
+    async def _feed(queue, requests, every_s):
+        for request in requests:
+            await asyncio.sleep(every_s)
+            await queue.submit(request)
+
+    def test_lone_leader_dispatches_after_the_gap_not_the_window(self):
+        async def scenario():
+            queue = RequestQueue()
+            registry = MetricsRegistry("test")
+            coalescer = self._coalescer(registry)
+            await queue.submit(_request(1))
+            started = time.monotonic()
+            batch = await coalescer.next_batch(queue)
+            return batch, time.monotonic() - started, registry
+
+        batch, elapsed, registry = run(scenario())
+        assert [p.request.seed for p in batch] == [1]
+        assert 0.19 <= elapsed < 0.35
+        assert _closed(registry) == {"idle": 1}
+        waited = registry.get("serving_coalesce_wait_seconds").snapshot()
+        assert waited["count"] == 1 and 0.19 <= waited["sum"] < 0.35
+
+    def test_steady_companions_keep_the_batch_open_to_the_cap(self):
+        async def scenario():
+            queue = RequestQueue()
+            registry = MetricsRegistry("test")
+            coalescer = self._coalescer(registry)
+            await queue.submit(_request(0))
+            started = time.monotonic()
+            # Companions every 100 ms: the 200 ms gap never passes, so only
+            # the 400 ms window cap closes the batch.
+            feeder = asyncio.create_task(
+                self._feed(queue, [_request(seed) for seed in (1, 2, 3)], 0.1)
+            )
+            batch = await coalescer.next_batch(queue)
+            elapsed = time.monotonic() - started
+            await feeder
+            return batch, elapsed, registry
+
+        batch, elapsed, registry = run(scenario())
+        assert [p.request.seed for p in batch] == [0, 1, 2, 3]
+        assert elapsed >= 0.39
+        assert _closed(registry) == {"window": 1}
+
+    def test_late_companion_lands_in_the_next_batch(self):
+        async def scenario():
+            queue = RequestQueue()
+            registry = MetricsRegistry("test")
+            coalescer = self._coalescer(registry)
+            await queue.submit(_request(1))
+            feeder = asyncio.create_task(self._feed(queue, [_request(2)], 0.3))
+            first = await coalescer.next_batch(queue)
+            second = await coalescer.next_batch(queue)
+            await feeder
+            return first, second, registry
+
+        first, second, registry = run(scenario())
+        assert [p.request.seed for p in first] == [1]
+        assert [p.request.seed for p in second] == [2]
+        assert _closed(registry) == {"idle": 2}
+
+    def test_interactive_leader_gets_its_shorter_gap(self):
+        async def scenario():
+            queue = RequestQueue()
+            registry = MetricsRegistry("test")
+            coalescer = self._coalescer(registry)
+            # interactive window = 0.25 x 400 = 100 ms -> a 50 ms gap.
+            await queue.submit(_request(1, priority="interactive"))
+            started = time.monotonic()
+            batch = await coalescer.next_batch(queue)
+            return batch, time.monotonic() - started, registry
+
+        batch, elapsed, registry = run(scenario())
+        assert [p.request.seed for p in batch] == [1]
+        assert 0.045 <= elapsed < 0.15
+        assert _closed(registry) == {"idle": 1}
+
+    def test_batch_leader_gets_its_longer_gap(self):
+        async def scenario():
+            queue = RequestQueue()
+            registry = MetricsRegistry("test")
+            coalescer = self._coalescer(registry)
+            # batch window = 4 x 400 = 1600 ms -> an 800 ms gap, so a
+            # companion 300 ms in still joins (a normal batch has closed).
+            await queue.submit(_request(1, priority="batch"))
+            started = time.monotonic()
+            feeder = asyncio.create_task(
+                self._feed(queue, [_request(2, priority="batch")], 0.3)
+            )
+            batch = await coalescer.next_batch(queue)
+            elapsed = time.monotonic() - started
+            await feeder
+            return batch, elapsed, registry
+
+        batch, elapsed, registry = run(scenario())
+        assert [p.request.seed for p in batch] == [1, 2]
+        assert 1.05 <= elapsed < 1.6
+        assert _closed(registry) == {"idle": 1}
+
+    def test_deadline_still_caps_the_batch(self):
+        async def scenario():
+            queue = RequestQueue()
+            registry = MetricsRegistry("test")
+            coalescer = self._coalescer(registry)
+            # The 100 ms deadline (minus the dispatch guard) comes before
+            # the 200 ms gap, so it closes the batch with the request live.
+            await queue.submit(_request(1, deadline_ms=100.0))
+            started = time.monotonic()
+            batch = await coalescer.next_batch(queue)
+            return batch, time.monotonic() - started, registry
+
+        batch, elapsed, registry = run(scenario())
+        assert [p.request.seed for p in batch] == [1]
+        assert elapsed < 0.19
+        assert _closed(registry) == {"deadline": 1}
 
 
 class TestServiceLifecycle:
