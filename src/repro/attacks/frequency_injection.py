@@ -14,7 +14,7 @@ attacked oscillator would exhibit, parameterised by a locking strength in
 ``[0, 1]`` (0 = no effect, 1 = fully locked) and the injected frequency.  The
 model captures the two first-order effects above without simulating the full
 Adler injection-locking dynamics — sufficient for exercising the online tests
-of the paper's conclusion (experiment ``CONCL-ONLINE-TEST``).
+of the paper's conclusion (``tests/paper/test_online_test.py``).
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ With the two-coefficient PSD of Eq. 10 the integral evaluates in closed form
     sigma^2_N = (2 b_th / f0^3) N  +  (8 ln2 b_fl / f0^4) N^2.
 
 Both are implemented here; the numerical integral serves as an independent
-check of the closed form (benchmark ``EQ11-VS-EQ9``) and supports arbitrary
-user-supplied phase PSDs beyond the two-coefficient model.
+check of the closed form (``tests/paper/test_theory_consistency.py``) and
+supports arbitrary user-supplied phase PSDs beyond the two-coefficient model.
 """
 
 from __future__ import annotations

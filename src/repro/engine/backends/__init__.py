@@ -51,12 +51,7 @@ import os
 from typing import Mapping, Optional, Union
 
 from .base import SynthesisBackend
-from .numpy_backend import (
-    AUTO_THRESHOLD,
-    NumpyBackend,
-    measure_auto_threshold,
-    process_cores,
-)
+from .numpy_backend import AUTO_THRESHOLD, NumpyBackend, process_cores
 from .philox import PhiloxBackend
 from .plan import (
     SynthesisPlan,
@@ -174,7 +169,6 @@ __all__ = [
     "SynthesisBackend",
     "SynthesisPlan",
     "configure_plan_cache",
-    "measure_auto_threshold",
     "parse_backend_spec",
     "plan_cache_stats",
     "pool_worker_backend",

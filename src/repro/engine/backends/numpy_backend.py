@@ -19,8 +19,10 @@ runs ``min(workers, B)`` balanced ranges: the calling thread runs the first
 and a pool of ``workers - 1`` threads the rest.
 
 :data:`AUTO_THRESHOLD` is measured.  On a 2-vCPU host (CPython 3.11,
-numpy 2.4), 2 workers against 1, spectral, median of 9 calls, three sweeps
-over the splits ``B`` in {2, 8, 32, 64} with ``n = count // B``:
+numpy 2.4), each call was timed on ``NumpyBackend(2, threshold=0)`` against
+``NumpyBackend()`` (spectral, the same spawned generators for both, median of
+9 calls) for doubling row-sample counts from ``2**12``, each count split as
+every ``B`` in {2, 8, 32, 64} with ``n = count // B``.  Over three sweeps:
 
 =====================  ==================
 row-samples per call   2 workers vs 1
@@ -31,21 +33,21 @@ row-samples per call   2 workers vs 1
 32,768                 1.16-2.06x
 =====================  ==================
 
-:func:`measure_auto_threshold` returned ``2**14`` twice and ``2**15`` once
-(wide batches of short rows, ``B = 64`` at ``n = 256``, can still lose at
-``2**14``), so the constant is ``2**15``, where every split won.  A served
-``B = 32``, ``D = 512`` burst (``32 x 1,024`` row-samples per call)
-threads; a multi-block call under the ``2**12`` row-period budget does not.
+The smallest count at which 2 workers won every split was ``2**14`` in two
+sweeps and ``2**15`` in one (wide batches of short rows, ``B = 64`` at
+``n = 256``, can still lose at ``2**14``), so the constant is ``2**15``,
+where every split won.  A served ``B = 32``, ``D = 512`` burst
+(``32 x 1,024`` row-samples per call) threads; a multi-block call under the
+``2**12`` row-period budget does not.
 """
 
 from __future__ import annotations
 
 import os
-import statistics
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,51 +200,3 @@ class NumpyBackend(SynthesisBackend):
             _BLOCK_ROWS.inc(batch * n_blocks)
         return thermal, pink
 
-
-def measure_auto_threshold(
-    workers: Optional[int] = None,
-    batches: Sequence[int] = (2, 8, 32, 64),
-    max_row_samples: int = 2**17,
-    repeats: int = 9,
-    flicker_method: str = "spectral",
-    time_function: Callable[[], float] = time.perf_counter,
-) -> Optional[int]:
-    """Locate the row-sample threshold from which threading wins on this host.
-
-    For doubling row-sample counts ``B x n`` from ``2**12``, times
-    ``workers`` threads against the single-thread reference on the same
-    calls (median of ``repeats`` calls), split as every batch size in
-    ``batches`` with ``n = count // B``.  Returns the smallest count at
-    which threading wins for every split, or ``None`` if it never does
-    (e.g. on a single-core host).  The shipped :data:`AUTO_THRESHOLD` is
-    this measurement.
-    """
-    if workers is None:
-        workers = process_cores()
-    if workers < 2:
-        return None
-    reference = NumpyBackend()
-    threaded = NumpyBackend(workers, threshold=0)
-
-    def median_time(backend: SynthesisBackend, batch: int, n: int) -> float:
-        sigma = np.full(batch, 1e-12)
-        h_minus1 = np.full(batch, 1e-22)
-        times = []
-        for repeat in range(repeats):
-            seeds = np.random.SeedSequence(repeat).spawn(batch)
-            generators = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
-            start = time_function()
-            backend.synthesize(n, generators, sigma, h_minus1, flicker_method)
-            times.append(time_function() - start)
-        return statistics.median(times)
-
-    count = 2**12
-    while count <= max_row_samples:
-        splits = [(batch, count // batch) for batch in batches]
-        if all(
-            median_time(threaded, batch, n) < median_time(reference, batch, n)
-            for batch, n in splits
-        ):
-            return count
-        count *= 2
-    return None

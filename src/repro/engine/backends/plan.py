@@ -21,7 +21,7 @@ The cache is a small LRU guarded by a lock (plans are requested from serving
 worker threads); hit/miss/eviction counters are surfaced through
 :class:`repro.serving.service.ServiceStats`.  ``configure_plan_cache(0)``
 disables caching entirely — every request builds a fresh plan — which is the
-comparison mode the equivalence tests and the cache benchmark use.
+comparison mode the cache-on/cache-off equivalence tests use.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ the board that
   injection) to the oscillators, which is how the online-test experiments are
   exercised.
 
-See DESIGN.md (substitutions table) for why this preserves the behaviour the
-paper's analysis depends on.
+The paper's analysis depends on the oscillators only through the relative
+phase-noise PSD (``b_th``, ``b_fl``), which the model reproduces; the tests in
+``tests/paper/`` recover the Section IV numbers from it.
 """
 
 from __future__ import annotations

@@ -3,13 +3,13 @@
 The paper's conclusion argues that, because the flicker PSD scales as the
 inverse square of the channel length, technology shrinking will make flicker
 noise dominate further over thermal noise, shrinking the range of ``N`` over
-which jitter realizations may be treated as independent.  The experiment
-``CONCL-SCALING`` sweeps the nodes defined here.
+which jitter realizations may be treated as independent.
+``tests/paper/test_technology_scaling.py`` sweeps the nodes defined here.
 
 The parameter values are *representative hand-calculation* numbers (supply,
 threshold, k', typical inverter sizing and load), not foundry data — foundry
 PDKs are proprietary.  What matters for the reproduction is the trend with
-``L`` (see DESIGN.md, substitutions table).
+``L``, which ``tests/paper/test_technology_scaling.py`` checks.
 """
 
 from __future__ import annotations

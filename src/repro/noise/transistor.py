@@ -139,7 +139,7 @@ class MOSTransistor:
         The paper's conclusion observes that the flicker PSD grows as the
         inverse square of the channel length, so shrinking increases the
         flicker/thermal ratio; this helper supports the technology-scaling
-        study (benchmark ``CONCL-SCALING``).
+        study (``tests/paper/test_technology_scaling.py``).
         """
         if shrink_factor <= 0.0:
             raise ValueError("shrink factor must be > 0")

@@ -6,8 +6,8 @@ stack:
 * :mod:`repro.obs.metrics` — thread-safe named counters, gauges and
   fixed-log-bucket histograms in a :class:`MetricsRegistry`; cheap enough to
   leave on in the hot path, with a global ``configure_metrics(enabled=False)``
-  kill switch (the uninstrumented baseline of
-  ``benchmarks/bench_observability.py``).
+  kill switch, bitwise transparent to every synthesis output
+  (``tests/obs/test_kill_switch_equivalence.py``).
 * :mod:`repro.obs.trace` — ``with span("synthesize", rows=B):`` trace spans
   whose IDs propagate across the fabric wire protocol, so a multi-host
   campaign ends with one merged span tree covering the coordinator and

@@ -23,10 +23,10 @@ The instruments:
 
 ``configure_metrics(enabled=False)`` is the **global kill switch**: every
 mutator becomes a no-op (one module-global boolean test on the fast path),
-which is the uninstrumented baseline ``benchmarks/bench_observability.py``
-compares against.  Metrics never touch any RNG stream, so enabled and
-disabled runs are bit-for-bit identical — the switch trades observability
-for the last few percent of hot-path time, nothing else.
+the uninstrumented baseline.  Metrics never touch any RNG stream, so
+enabled and disabled runs are bit-for-bit identical
+(``tests/obs/test_kill_switch_equivalence.py``) — the switch trades
+observability for the last few percent of hot-path time, nothing else.
 """
 
 from __future__ import annotations

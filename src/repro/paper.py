@@ -1,9 +1,9 @@
 """Reference values reported in the paper (Sections III-E and IV-B).
 
-These constants are used by the benchmark harness (to compare "paper" vs
-"measured" values in EXPERIMENTS.md) and by the ``PAPER_CYCLONE_III``
-configuration that calibrates the virtual FPGA platform to the oscillators
-measured in the paper.
+These constants are used by the paper-claim tests in ``tests/paper/`` (each
+tolerance there names the paper value and the value measured) and by the
+``PAPER_CYCLONE_III`` configuration that calibrates the virtual FPGA platform
+to the oscillators measured in the paper.
 
 The published experiment (Evariste II board, Altera Cyclone III FPGA):
 

@@ -10,8 +10,8 @@ appendix links its variance to the Allan variance through
 
 This module implements the standard (non-overlapping and overlapping) Allan
 variance estimators on fractional-frequency or period data, plus the
-theoretical values for white-FM and flicker-FM noise used by the tests and
-by the ``ALLAN-LINK`` benchmark.
+theoretical values for white-FM and flicker-FM noise used by the tests,
+``tests/paper/test_allan_link.py`` among them.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def sigma2_n_from_allan_variance(allan_variance_value: float, f0_hz: float) -> f
     Note: the exact relation used elsewhere in the library is
     ``Var(s_N) = 2 (N/f0)^2 sigma_y^2(N/f0)``; Eq. 5's approximation absorbs
     the ``N^2`` factor into the definition of the jitter accumulation.  This
-    helper implements the formula exactly as printed so the ``ALLAN-LINK``
-    benchmark can discuss the difference.
+    helper implements the formula exactly as printed so callers can compare
+    it with the exact relation.
     """
     if f0_hz <= 0.0:
         raise ValueError("f0 must be > 0")

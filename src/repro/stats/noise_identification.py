@@ -11,9 +11,8 @@ reusable diagnostic:
   white-FM-dominated, transition and flicker-FM-dominated regions;
 * :func:`identify_noise_from_allan` — the classical AVAR-slope table
   (white PM/FM, flicker FM, random-walk FM);
-* :class:`NoiseRegimeReport` — a summary used by the fitting ablation
-  benchmark and by designers to choose the region over which Eq. 6
-  (independence) may be trusted.
+* :class:`NoiseRegimeReport` — a summary designers use to choose the region
+  over which Eq. 6 (independence) may be trusted.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ The refined model implemented here follows the paper's recommendation:
   predictable by an attacker who observed the past, and must not be counted);
 * the *naive* figure that a classical evaluation would have produced is also
   computed, by back-dividing the total accumulated variance measured over a
-  calibration window of ``N_cal`` periods — this is what the comparison
-  benchmark (experiment ``FIG2-VS-FIG3``) sweeps.
+  calibration window of ``N_cal`` periods — this is what
+  ``tests/paper/test_entropy_models.py`` compares against the refined figure.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The post-processing block applies a deterministic algorithm to the raw binary
 sequence, either to increase its entropy per bit (algebraic post-processing)
 or to provide cryptographic robustness.  The classical algebraic schemes are
-implemented here; they are exercised by the entropy-model benchmarks to show
-how much raw entropy each one preserves.
+implemented here; ``tests/trng/test_postprocessing.py`` checks how much bias
+each one removes from independent input bits.
 """
 
 from __future__ import annotations
