@@ -2,7 +2,7 @@
 
 The draw-and-shape step of
 :meth:`repro.engine.batch.BatchedJitterSynthesizer._components` — per-row
-fused ``standard_normal`` draws, thermal scaling, pink spectral shaping — is
+``standard_normal`` draws, thermal scaling, pink spectral shaping — is
 the single kernel every campaign bottlenecks on.  This package abstracts it
 behind :class:`SynthesisBackend` so accelerated implementations drop in
 underneath every workload at once:

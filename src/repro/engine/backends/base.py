@@ -4,7 +4,7 @@ Every workload in this reproduction — ``sigma^2_N`` campaigns, the batched
 bit pipeline, distributed shards, the serving layer — bottlenecks on one
 kernel: the draw-and-shape step of
 :meth:`repro.engine.batch.BatchedJitterSynthesizer._components` (per-row
-fused ``standard_normal`` draws, thermal scaling, pink spectral shaping).  A
+``standard_normal`` draws, thermal scaling, pink spectral shaping).  A
 :class:`SynthesisBackend` owns exactly that step, so an accelerated backend
 speeds up every campaign at once without touching any caller.
 
@@ -16,18 +16,20 @@ identical** to the reference :class:`~repro.engine.backends.numpy_backend.
 NumpyBackend` for the same inputs.  Concretely, for every row ``i``:
 
 * when both ``thermal_std_s[i]`` and ``h_minus1[i]`` are positive and the
-  flicker method is spectral, the row draws one fused
-  ``rngs[i].standard_normal(n + n_fft)`` (thermal variates first, flicker
-  white noise second);
+  flicker method is spectral, the row consumes ``rngs[i]`` exactly as one
+  ``standard_normal(n + n_fft)`` call would (thermal variates first, flicker
+  white noise second) — how many calls make those draws is the backend's
+  business, except that a stream keyed per call
+  (:class:`~repro.engine.rng.PhiloxRowStream`) draws one call per block;
 * when only one coefficient is positive, only that component's draw happens;
 * zero-coefficient rows skip their draw entirely (their generator is not
   touched);
 * each row consumes **only its own** generator, so rows may execute in any
   order or concurrently — this row independence is what makes threaded (and
   future GPU) backends bit-for-bit reproducible at any worker count;
-* a multi-block call (``n_blocks = K``) makes, per row, the draws of ``K``
-  consecutive single-block calls in block order, so block ``k`` of its
-  output equals the ``k``-th of those calls.
+* a multi-block call (``n_blocks = K``) consumes each row's stream exactly
+  as ``K`` consecutive single-block calls would, in block order, so block
+  ``k`` of its output equals the ``k``-th of those calls.
 
 The equivalence matrix in ``tests/engine/test_backend_equivalence.py``
 enforces the contract for every shipped backend.
@@ -107,11 +109,12 @@ class SynthesisBackend(ABC):
         n_blocks:
             Number ``K >= 1`` of consecutive synthesis blocks per row.  The
             result is bit-for-bit the concatenation, per row, of ``K``
-            single-block calls: each block draws and shapes independently
-            (its own fused ``standard_normal(n + n_fft)`` per row, its own
-            DC-free spectrum), in block order, so a row's stream — and a
-            :class:`~repro.engine.rng.PhiloxRowStream` block counter —
-            advances exactly as ``K`` separate calls would advance it.
+            single-block calls: each block has its own draws and its own
+            DC-free spectrum, in block order, and a row's stream is consumed
+            exactly as ``K`` calls of ``standard_normal(n + n_fft)`` would
+            consume it.  A :class:`~repro.engine.rng.PhiloxRowStream` keys
+            every call, so it still draws once per block and its block
+            counter advances by ``K``.
 
         Returns
         -------

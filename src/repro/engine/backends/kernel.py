@@ -7,20 +7,23 @@ row on the single-thread path) — so the bitwise contract between worker
 counts can only drift if the *partitioning* changes, never the per-row
 draws.
 
-Per-row stream order (the scalar synthesizer's, exactly): a row's thermal
-variates are drawn before its flicker white noise — fused into one
-``standard_normal`` call when both coefficients are positive, which consumes
-the stream identically — and zero-coefficient rows skip their draw entirely.
-Each row touches only its own generator, so any block partition of the rows
+Per-row stream consumption (the scalar synthesizer's, exactly): in each
+block a row's ``n`` thermal variates come before its ``n_fft`` flicker white
+values, and zero-coefficient rows skip their draw entirely.  A spectral row
+consumes its stream exactly as ``K`` calls of ``standard_normal(n + n_fft)``
+would (``standard_normal(n)`` / ``(n_fft)`` with one coefficient zero).  A
+numpy ``Generator`` row makes that one call of all ``K`` blocks, which
+leaves it in the same state; a stream keyed per call
+(:class:`~repro.engine.rng.PhiloxRowStream`) still draws once per block.
+Each row touches only its own stream, so any block partition of the rows
 produces identical output; the spectral shaping is a row-wise FFT, so
 shaping per block equals shaping all rows at once.
 
 Multi-block calls (``n_blocks = K``) synthesize ``K`` consecutive synthesis
-blocks of ``n`` samples per row in one pass: each row makes, per block and
-in block order, exactly the draws one single-block call makes, and the
-``F * K`` white rows of a spectral call are shaped by one batched FFT.  Row
-``i``'s samples ``k*n .. (k+1)*n - 1`` are therefore bit-for-bit the ``k``-th
-of ``K`` consecutive single-block calls.
+blocks of ``n`` samples per row in one pass, and the ``F * K`` white rows of
+a spectral call are shaped by one batched FFT.  Row ``i``'s samples
+``k*n .. (k+1)*n - 1`` are therefore bit-for-bit the ``k``-th of ``K``
+consecutive single-block calls.
 """
 
 from __future__ import annotations
@@ -43,6 +46,20 @@ def flicker_offsets(h_minus1: np.ndarray) -> np.ndarray:
     of flicker rows (``h_minus1 > 0``) before row ``i``; ``offsets[-1]`` is
     the total flicker-row count."""
     return np.concatenate(([0], np.cumsum(np.asarray(h_minus1) > 0.0)))
+
+
+def _draw_blocks(rng, out: np.ndarray) -> None:
+    """Fill ``out`` ``(K, m)`` with a row's next ``K`` blocks of ``m`` normals.
+
+    A numpy ``Generator`` caches nothing between calls, so one call of
+    ``K * m`` leaves it where ``K`` calls of ``m`` would; a stream keyed per
+    call (:class:`~repro.engine.rng.PhiloxRowStream`) draws once per block.
+    """
+    if isinstance(getattr(rng, "bit_generator", None), np.random.BitGenerator):
+        rng.standard_normal(out=out)
+    else:
+        for block in out:
+            block[...] = rng.standard_normal(out.shape[1])
 
 
 def run_block(
@@ -81,7 +98,6 @@ def run_block(
     sigma = thermal_std_s
     scaling = plan.spectral_scaling if plan is not None else None
     ar_tables = plan.ar_tables if plan is not None else None
-    blocks = [slice(k * n, (k + 1) * n) for k in range(n_blocks)]
     if flicker_method == "spectral":
         if plan is not None and plan.n_fft is not None:
             n_fft = plan.n_fft
@@ -92,28 +108,27 @@ def run_block(
         # k of flicker row f, so the shaped (F * K, n) result reshapes to
         # (F, K * n) with every row's blocks in order.
         white = np.empty((n_flicker * n_blocks, n_fft))
+        # Draws of a two-component row: K blocks of (thermal, white) each.
+        scratch = np.empty((n_blocks, n + n_fft))
         drawn = 0
         for index in range(start, stop):
-            rng = rngs[index]
+            row = thermal[index].reshape(n_blocks, n)
             if sigma[index] > 0.0 and h_minus1[index] > 0.0:
-                for block in blocks:
-                    draw = rng.standard_normal(n + n_fft)
-                    np.multiply(draw[:n], sigma[index], out=thermal[index, block])
-                    white[drawn] = draw[n:]
-                    drawn += 1
+                _draw_blocks(rngs[index], scratch)
+                np.multiply(scratch[:, :n], sigma[index], out=row)
+                white[drawn : drawn + n_blocks] = scratch[:, n:]
+                drawn += n_blocks
             elif sigma[index] > 0.0:
-                for block in blocks:
-                    np.multiply(
-                        rng.standard_normal(n), sigma[index], out=thermal[index, block]
-                    )
+                _draw_blocks(rngs[index], row)
+                row *= sigma[index]
             elif h_minus1[index] > 0.0:
-                for _ in blocks:
-                    white[drawn] = rng.standard_normal(n_fft)
-                    drawn += 1
+                _draw_blocks(rngs[index], white[drawn : drawn + n_blocks])
+                drawn += n_blocks
         if n_flicker:
-            shaped = _pink_spectral_shape(white, n, scaling=scaling)
-            pink[position : position + n_flicker] = shaped.reshape(n_flicker, -1)
+            out = pink[position : position + n_flicker].reshape(-1, n)
+            _pink_spectral_shape(white, n, scaling=scaling, out=out)
     else:
+        blocks = [slice(k * n, (k + 1) * n) for k in range(n_blocks)]
         for index in range(start, stop):
             for block in blocks:
                 if sigma[index] > 0.0:

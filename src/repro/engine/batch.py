@@ -226,6 +226,11 @@ class BatchedJitterSynthesizer:
                 for psd, f0 in zip(self.psds, self.f0_hz)
             ]
         )
+        # Flicker assembly columns, one entry per flicker row (h_-1 > 0):
+        # unit pink noise -> sqrt(h_-1) -> fractional frequency x -T0.
+        self._flicker_rows = np.flatnonzero(self._h_minus1 > 0.0)
+        self._flicker_sqrt_h = np.sqrt(self._h_minus1[self._flicker_rows])[:, None]
+        self._flicker_minus_period_s = -self.nominal_period_s[self._flicker_rows, None]
 
     # -- parameters ----------------------------------------------------------
 
@@ -262,8 +267,8 @@ class BatchedJitterSynthesizer:
     def _components(self, n_periods: int, n_blocks: int = 1):
         """Draw the thermal and flicker components, ``(B, n_blocks * n)`` each.
 
-        The draw-and-shape step (per-row fused ``standard_normal`` draws,
-        thermal scaling, pink spectral shaping) is delegated to the backend;
+        The draw-and-shape step (per-row ``standard_normal`` draws, thermal
+        scaling, pink spectral shaping) is delegated to the backend;
         per-row stream order matches the scalar synthesizer exactly (a row's
         thermal variates precede its flicker white noise, zero-coefficient
         rows skip their draw entirely), whatever backend executes it.
@@ -278,21 +283,20 @@ class BatchedJitterSynthesizer:
         batch = self._batch_size
         if n == 0:
             return np.zeros((batch, 0)), np.zeros((batch, 0))
-        h_minus1 = self._h_minus1
         thermal, pink = self._backend.synthesize(
             n,
             self.rngs,
             self._thermal_std_s,
-            h_minus1,
+            self._h_minus1,
             self.flicker_method,
             n_blocks=int(n_blocks),
         )
+        pink *= self._flicker_sqrt_h
+        pink *= self._flicker_minus_period_s
+        if self._flicker_rows.size == batch:
+            return thermal, pink
         flicker = np.zeros(thermal.shape)
-        flicker_rows = np.flatnonzero(h_minus1 > 0.0)
-        if flicker_rows.size:
-            fractional_frequency = np.sqrt(h_minus1[flicker_rows])[:, None] * pink
-            fractional_frequency *= -self.nominal_period_s[flicker_rows, None]
-            flicker[flicker_rows] = fractional_frequency
+        flicker[self._flicker_rows] = pink
         return thermal, flicker
 
     def decompose(self, n_periods: int) -> BatchedJitterDecomposition:

@@ -20,7 +20,7 @@ target PSD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -199,39 +199,6 @@ def generate_pink_noise(
     )
 
 
-def generate_pink_noise_batch(
-    n_samples: int,
-    rngs: Sequence[np.random.Generator],
-    method: str = "spectral",
-) -> np.ndarray:
-    """Generate one 1/f sequence per generator, as a ``(len(rngs), n)`` array.
-
-    Row ``i`` consumes ``rngs[i]`` exactly like
-    ``generate_pink_noise(n_samples, rng=rngs[i], method=method)`` would, so
-    the batched output reproduces the scalar generator row by row
-    (bit-for-bit: the white-noise draws are identical and the batched FFT
-    shaping equals the 1-D transform applied to each row).  The ``"spectral"``
-    method shapes all rows with a single batched FFT; the recursive methods
-    fall back to a per-row loop.
-    """
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples!r}")
-    batch = len(rngs)
-    if batch == 0:
-        return np.empty((0, n_samples))
-    if n_samples == 0:
-        return np.empty((batch, 0))
-    if method != "spectral":
-        return np.stack(
-            [generate_pink_noise(n_samples, rng=rng, method=method) for rng in rngs]
-        )
-    n_fft = _spectral_fft_length(n_samples)
-    white = np.empty((batch, n_fft))
-    for index, rng in enumerate(rngs):
-        white[index] = rng.normal(0.0, 1.0, size=n_fft)
-    return _pink_spectral_shape(white, n_samples)
-
-
 def _spectral_fft_length(n_samples: int) -> int:
     """FFT buffer length of the spectral method (oversized 2x to decorrelate
     the circular wrap-around)."""
@@ -256,14 +223,18 @@ SynthesisPlan`; :func:`_pink_spectral_shape` recomputes it inline when no
 
 
 def _pink_spectral_shape(
-    white: np.ndarray, n_samples: int, scaling: Optional[np.ndarray] = None
+    white: np.ndarray,
+    n_samples: int,
+    scaling: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Shape white noise (last axis = time, length ``n_fft``) to a 1/f PSD.
 
     ``scaling``, when given, must be ``spectral_scaling_table(n_fft)`` for the
     matching FFT length (precomputed by the synthesis-plan cache); ``None``
     computes it inline.  Both paths multiply the identical table, so the
-    results are bit-for-bit equal.
+    results are bit-for-bit equal.  ``out``, when given, receives the
+    ``(..., n_samples)`` result (and is returned).
     """
     n_fft = white.shape[-1]
     spectrum = np.fft.rfft(white, axis=-1)
@@ -274,11 +245,12 @@ def _pink_spectral_shape(
             f"scaling table has shape {scaling.shape}, expected "
             f"{(n_fft // 2 + 1,)} for n_fft={n_fft}"
         )
-    shaped = np.fft.irfft(spectrum * scaling, n=n_fft, axis=-1)
+    spectrum *= scaling
+    shaped = np.fft.irfft(spectrum, n=n_fft, axis=-1)
     # White noise of unit variance has one-sided PSD 2/fs = 2 (fs = 1), so the
     # shaped sequence has PSD 2/f; divide the amplitude by sqrt(2) to obtain
     # a one-sided PSD of exactly 1/f.
-    return shaped[..., :n_samples] / np.sqrt(2.0)
+    return np.divide(shaped[..., :n_samples], np.sqrt(2.0), out=out)
 
 
 def _pink_spectral(n_samples: int, rng: np.random.Generator) -> np.ndarray:

@@ -364,8 +364,8 @@ class TestBackendResolution:
 
 
 class TestFlickerMethodValidation:
-    """Regression (ISSUE 5 satellite): unknown methods fail at construction,
-    not deep inside the first ``generate_pink_noise_batch`` call."""
+    """Unknown methods fail at construction, not deep inside the first
+    backend ``synthesize`` call."""
 
     def test_synthesizer_rejects_unknown_method_eagerly(self):
         psd = PhaseNoisePSD(b_thermal_hz=276.04, b_flicker_hz2=5.42)

@@ -10,7 +10,6 @@ from repro.noise.flicker import (
     flicker_corner_frequency,
     flicker_current_psd,
     generate_pink_noise,
-    generate_pink_noise_batch,
 )
 from repro.stats.psd_estimation import fit_power_law, welch_psd
 
@@ -189,35 +188,3 @@ class TestPinkNoiseGenerators:
         )
         expected = reference(128, np.random.default_rng(23))
         np.testing.assert_array_equal(actual, expected)
-
-
-class TestPinkNoiseBatch:
-    """generate_pink_noise_batch: row i == scalar generate_pink_noise(rngs[i])."""
-
-    def test_spectral_rows_match_scalar(self):
-        rngs = np.random.default_rng(6).spawn(3)
-        batched = generate_pink_noise_batch(512, rngs)
-        reference = np.random.default_rng(6).spawn(3)
-        for row in range(3):
-            np.testing.assert_allclose(
-                batched[row],
-                generate_pink_noise(512, rng=reference[row]),
-                rtol=0.0,
-                atol=0.0,
-            )
-
-    def test_ar_rows_match_scalar(self):
-        rngs = np.random.default_rng(7).spawn(2)
-        batched = generate_pink_noise_batch(128, rngs, method="ar")
-        reference = np.random.default_rng(7).spawn(2)
-        for row in range(2):
-            np.testing.assert_array_equal(
-                batched[row], generate_pink_noise(128, rng=reference[row], method="ar")
-            )
-
-    def test_empty_inputs(self):
-        assert generate_pink_noise_batch(16, []).shape == (0, 16)
-        rngs = [np.random.default_rng(0)]
-        assert generate_pink_noise_batch(0, rngs).shape == (1, 0)
-        with pytest.raises(ValueError):
-            generate_pink_noise_batch(-1, rngs)
