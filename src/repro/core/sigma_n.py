@@ -223,14 +223,13 @@ def accumulated_variance_curves(
 ) -> List[AccumulatedVarianceCurve]:
     """Batched :func:`accumulated_variance_curve`: one curve per record row.
 
-    This is the vectorized estimator behind the batched simulation engine
-    (:mod:`repro.engine`): the cumulative sums are computed once for the whole
-    batch and every ``N`` of the sweep is evaluated on all rows at once, while
-    the scalar function recomputes the cumulative sum for every ``N``.  Row
-    ``i`` of the result is numerically identical (bit-for-bit) to
-    ``accumulated_variance_curve(jitter_s[i], ...)``: the per-``N`` block
-    differences and the mean-of-squares reduction are performed with the same
-    operation order as the scalar path.
+    This is the estimator behind the batched simulation engine
+    (:mod:`repro.engine`): each row's cumulative sum is computed once and
+    shared by every ``N`` of the sweep, while the scalar function recomputes
+    it for every ``N``.  Row ``i`` of the result is numerically identical
+    (bit-for-bit) to ``accumulated_variance_curve(jitter_s[i], ...)``: the
+    per-``N`` block differences and the mean-of-squares reduction are
+    performed with the same operation order as the scalar path.
 
     Parameters
     ----------
@@ -255,6 +254,16 @@ def accumulated_variance_curves(
     return assemble_variance_curves(n_list, sigma2, counts, f0)
 
 
+def sum_of_squares(values: np.ndarray) -> float:
+    """``sum(values**2)`` of one 1-D row, reduced by itself.
+
+    A row of a ``(B, m)`` einsum is summed in a different order from the same
+    row alone once ``m`` outgrows numpy's iterator buffer, so every sweep
+    reduces row by row: a row's result then cannot depend on its companions.
+    """
+    return np.einsum("i,i->", values, values)
+
+
 def batched_sigma2_n_sweep(
     jitter_s: np.ndarray,
     f0_hz,
@@ -272,14 +281,16 @@ def batched_sigma2_n_sweep(
     engine keeps campaign results in this form (no per-point objects on the
     hot path); :func:`assemble_variance_curves` materializes curve objects.
 
-    The cumulative sums are computed once and shared by the whole sweep (the
-    scalar path recomputes them for every ``N``).  With ``exact=True`` the
-    per-``N`` reduction uses the same operation order as the scalar
-    estimators, making each row bit-for-bit identical to
-    :func:`accumulated_variance_curve`; ``exact=False`` regroups the block
-    differences and reduces with a fused dot product, which is faster and
-    agrees with the exact path to a relative ``~ sqrt(n) * eps`` (far below
-    1e-12 for any in-memory record).
+    Each row is reduced on its own: its cumulative sum goes into one reused
+    ``(n + 1,)`` buffer, shared by the whole sweep, and its block differences
+    into one reused ``(n,)`` buffer, so the working set is ``O(n)`` whatever
+    ``B`` is.  With ``exact=True`` each row is bit-for-bit identical to the
+    scalar :func:`accumulated_variance_curve`; ``exact=False`` regroups the
+    block differences and reduces them with :func:`sum_of_squares`, which is
+    faster and agrees with the exact path to a relative ``~ sqrt(n) * eps``
+    (far below 1e-12 for any in-memory record).  A fast-path row equals its
+    ``B = 1`` value bit for bit, so neither path depends on the batch, its
+    companions or the shard plan.
     """
     jitter = np.asarray(jitter_s, dtype=float)
     if jitter.ndim == 1:
@@ -296,11 +307,7 @@ def batched_sigma2_n_sweep(
         raise ValueError("f0 must be > 0")
     if n_sweep is None:
         n_sweep = default_n_sweep(max(size // (2 * min_realizations), 1))
-    cumulative = np.concatenate(
-        [np.zeros((batch, 1)), np.cumsum(jitter, axis=1)], axis=1
-    )
     n_list: List[int] = []
-    sigma2_list: List[np.ndarray] = []
     count_list: List[int] = []
     for n in n_sweep:
         n = int(n)
@@ -314,26 +321,35 @@ def batched_sigma2_n_sweep(
         effective = size // (2 * n) if overlapping else n_values
         if n_values < 2 or effective < min_realizations:
             continue
-        if exact:
-            second_block = cumulative[:, 2 * n :] - cumulative[:, n:-n]
-            first_block = cumulative[:, n:-n] - cumulative[:, : -2 * n]
-            values = second_block - first_block
-            if not overlapping:
-                values = values[:, :: 2 * n]
-            sigma2 = np.mean(values**2, axis=1)
-        else:
-            values = cumulative[:, 2 * n :] - cumulative[:, n:-n]
-            values -= cumulative[:, n:-n]
-            values += cumulative[:, : -2 * n]
-            if not overlapping:
-                values = np.ascontiguousarray(values[:, :: 2 * n])
-            sigma2 = np.einsum("ij,ij->i", values, values) / values.shape[1]
         n_list.append(n)
-        sigma2_list.append(sigma2)
         count_list.append(n_values)
     if not n_list:
         raise ValueError("record too short to estimate any sigma^2_N point")
-    return n_list, np.stack(sigma2_list, axis=1), np.array(count_list), f0
+    sigma2 = np.empty((batch, len(n_list)))
+    cumulative = np.zeros(size + 1)
+    s_n_buffer, first_buffer = np.empty((2, size))
+    # Views into the reused buffers, built once for every row: c0, c1 and c2
+    # hold the cumulative sums at each kept window's start, middle and end.
+    views = []
+    for n, m in zip(n_list, count_list):
+        step = 1 if overlapping else 2 * n
+        c0 = cumulative[: size - 2 * n + 1 : step]
+        c1 = cumulative[n : size - n + 1 : step]
+        c2 = cumulative[2 * n :: step]
+        views.append((c0, c1, c2, s_n_buffer[:m], first_buffer[:m]))
+    for row in range(batch):
+        np.cumsum(jitter[row], out=cumulative[1:])
+        for column, (c0, c1, c2, s_n, first_block) in enumerate(views):
+            np.subtract(c2, c1, out=s_n)
+            if exact:
+                np.subtract(c1, c0, out=first_block)
+                np.subtract(s_n, first_block, out=s_n)
+                sigma2[row, column] = np.mean(np.square(s_n, out=s_n))
+            else:
+                np.subtract(s_n, c1, out=s_n)
+                np.add(s_n, c0, out=s_n)
+                sigma2[row, column] = sum_of_squares(s_n) / s_n.size
+    return n_list, sigma2, np.array(count_list), f0
 
 
 def assemble_variance_curves(

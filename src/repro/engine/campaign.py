@@ -17,7 +17,10 @@ The scalar workflow (``RingOscillator`` + ``accumulated_variance_curve`` +
 ``fit_sigma2_n_curve`` per instance) remains the reference; for a shared seed,
 row ``i`` of a campaign consumes the same RNG stream and reproduces it
 bit-for-bit with ``exact=True``, or within a relative ``~ sqrt(n) * eps``
-(far below 1e-12) with the default fused reduction (see ``tests/engine``).
+(far below 1e-12) with the default fast reduction (see ``tests/engine``).
+The sweep reduces each row on its own, and a fast-path row equals its
+``B = 1`` value bit for bit, so results do not depend on the batch size, the
+batch companions or the shard plan.
 
 Bit-level campaigns (:func:`batched_bit_campaign`) run the pipeline one step
 further: per-ensemble raw-bit generation at a grid of divider values, with
@@ -380,7 +383,7 @@ def batched_sigma2_n_campaign(
         Fit Eq. 11 per instance (vectorized); disable to get curves only.
     exact:
         ``True`` reproduces the scalar estimator bit-for-bit; the default
-        (``False``) uses the fused reduction, which agrees with the scalar
+        (``False``) uses the fast reduction, which agrees with the scalar
         path to a relative ``~ sqrt(n_periods) * eps`` (orders of magnitude
         below the 1e-12 equivalence budget).
     backend:
@@ -471,7 +474,7 @@ def batched_relative_jitter_campaign(
     :func:`repro.measurement.capture.relative_jitter_campaign` sees when the
     ensembles share the scalar oscillators' RNG streams, and the estimated
     curves match that function bit-for-bit with ``exact=True`` (within
-    ``~ sqrt(n) * eps`` under the default fused reduction).
+    ``~ sqrt(n) * eps`` under the default fast reduction).
     """
     if ensemble_1.batch_size != ensemble_2.batch_size:
         raise ValueError(

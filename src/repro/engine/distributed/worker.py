@@ -7,9 +7,10 @@ module-level callable, so it pickles by reference into worker processes.  A
 ``.npz`` checkpoint, and (c) merges into the exact arrays the unsharded
 campaign produces (see :mod:`repro.engine.distributed.merge`).
 
-Memory discipline: a sigma^2_N shard holds ``O(rows x n_periods)`` (or
-``O(rows x chunk_periods)`` in streaming mode, where the partial is the
-streaming estimator's *state*, not a record); a bit shard holds
+Memory discipline: a sigma^2_N shard holds its ``O(rows x n_periods)``
+record and ``O(n_periods)`` sweep scratch, since the sweep reduces one row at
+a time (or ``O(rows x chunk_periods)`` in streaming mode, where the partial is
+the streaming estimator's *state*, not a record); a bit shard holds
 ``O(rows x synthesis_block)`` thanks to the streaming sampler.
 """
 

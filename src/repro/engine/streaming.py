@@ -42,6 +42,7 @@ from ..core.sigma_n import (
     AccumulatedVarianceCurve,
     AccumulatedVariancePoint,
     default_n_sweep,
+    sum_of_squares,
 )
 
 
@@ -126,7 +127,7 @@ class StreamingSigma2NEstimator:
             c1 = cumulative[:, lo + n : length - n + 1 : stride]
             c2 = cumulative[:, lo + window : length + 1 : stride]
             values = (c2 - c1) - (c1 - c0)
-            self._sum_sq[n] += np.einsum("ij,ij->i", values, values)
+            self._sum_sq[n] += [sum_of_squares(row) for row in values]
             self._counts[n] += values.shape[1]
             self._next_start[n] = (
                 start + stride * values.shape[1]

@@ -20,7 +20,9 @@ against them:
   gap, measured from the leader claim or the last compatible arrival), or
   when the cap is reached.  A lone request therefore waits about half the
   window, not all of it, while a burst whose requests arrive closer
-  together than the gap still forms one batch.
+  together than the gap still forms one batch.  Requests already queued
+  when the gap or the cap lapses still join: they add no wait, and a burst
+  the event loop was still parsing is not split by a late timer check.
 * **Deadline fast-fail** — a request whose ``deadline_ms`` budget expired
   before dispatch is failed with
   :class:`~repro.serving.queue.DeadlineExceeded` and **never consumes a row
@@ -286,12 +288,20 @@ class Coalescer:
                 else:
                     end, reason = idle_end, "idle"
                 timeout = end - time.monotonic()
-                if timeout <= 0.0:
-                    break
-                try:
-                    candidate = await asyncio.wait_for(queue.get(), timeout)
-                except TimeoutError:
-                    break
+                candidate = None
+                if timeout > 0.0:
+                    try:
+                        candidate = await asyncio.wait_for(queue.get(), timeout)
+                    except TimeoutError:
+                        pass
+                if candidate is None:
+                    # Time is up, but requests already queued have arrived:
+                    # they join without extending the wait, so a burst the
+                    # event loop was still parsing when the gap or cap
+                    # lapsed is not split.
+                    candidate = queue.get_nowait()
+                    if candidate is None:
+                        break
                 if candidate.expired():
                     self._expire(candidate, time.monotonic())
                 elif candidate.request.group_key() == key:

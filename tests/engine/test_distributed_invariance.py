@@ -99,6 +99,25 @@ class TestSigma2NShardInvariance:
             result.table()
 
 
+class TestOneRowShards:
+    """One-row shards over records long enough for reduction order to show.
+
+    Past ~16k periods numpy sums a row of a ``(B, m)`` einsum in a different
+    order from the same row alone, so a one-row shard matches the serial
+    campaign only because every row is reduced by itself.  The 8192-period
+    chunks stay below that length; the 16384-period chunks do not.
+    """
+
+    @pytest.mark.parametrize("chunk_periods", [None, 8192, 16_384])
+    def test_one_row_shards_equal_serial(self, chunk_periods):
+        spec = Sigma2NCampaignSpec(
+            batch_size=3, n_periods=32_768, chunk_periods=chunk_periods, seed=7
+        )
+        assert_same_campaign(
+            run_campaign(spec, n_shards=3), run_campaign(spec, n_shards=1)
+        )
+
+
 class TestStreamingShardInvariance:
     # Spec and unsharded reference are read-only across the shard-count
     # parametrization; computing the reference once saves three streaming

@@ -142,6 +142,18 @@ class TestSigma2NDeterminism:
             assert result.b_flicker_hz2 == reference.b_flicker_hz2
             assert result.r_squared == reference.r_squared
 
+    def test_long_record_identical_solo_or_with_a_companion(self):
+        # 32768 periods: long enough that a batched reduction would order
+        # this request's sums differently once it has a companion row.
+        request = Sigma2NRequest(n_periods=32_768, seed=64_001)
+        companion = Sigma2NRequest(n_periods=32_768, b_thermal_hz=150.0, seed=64_002)
+        (solo,) = run_sigma2n_batch([request])
+        paired, _ = run_sigma2n_batch([request, companion])
+        assert np.array_equal(paired.sigma2_s2, solo.sigma2_s2)
+        assert paired.b_thermal_hz == solo.b_thermal_hz
+        assert paired.b_flicker_hz2 == solo.b_flicker_hz2
+        assert paired.r_squared == solo.r_squared
+
     def test_mixed_kind_burst_stays_deterministic(self, solo_bits, solo_sigma):
         requests = [
             item

@@ -151,6 +151,23 @@ class TestImmediateDispatchWindow:
 
         run(scenario())
 
+    def test_requests_queued_after_the_leader_join_when_time_is_up(self):
+        async def scenario():
+            # The leader is claimed from an empty queue; its companions are
+            # queued before the coalescer runs again, by which time the
+            # window has lapsed.  They have already arrived, so they join
+            # (a burst the loop was still parsing must not be split).
+            queue = RequestQueue(max_pending=8)
+            coalescer = Coalescer(max_batch=8, max_wait_ms=0.0)
+            collecting = asyncio.create_task(coalescer.next_batch(queue))
+            await asyncio.sleep(0)  # the coalescer now waits on the queue
+            for seed in (1, 2, 3):
+                await queue.submit(_request(seed))
+            batch = await asyncio.wait_for(collecting, timeout=1.0)
+            assert [p.request.seed for p in batch] == [1, 2, 3]
+
+        run(scenario())
+
 
 class TestCoalesceWaitObservability:
     def test_wait_histogram_reaches_stats_and_prometheus(self):
