@@ -13,8 +13,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import numpy as np
-from scipy import stats
-from scipy.special import erfc, gammaincc
 
 from .procedure_a import TestResult, _as_bits
 
@@ -27,6 +25,8 @@ def frequency_within_block_test(
     significance: float = DEFAULT_SIGNIFICANCE,
 ) -> TestResult:
     """NIST frequency-within-block test: local bias in M-bit blocks."""
+    from scipy.special import gammaincc
+
     array = _as_bits(bits, 100)
     if block_size < 8:
         raise ValueError("block size must be >= 8")
@@ -49,6 +49,8 @@ def runs_test(
     bits: Sequence[int] | np.ndarray, significance: float = DEFAULT_SIGNIFICANCE
 ) -> TestResult:
     """NIST runs test: total number of runs versus the expectation for i.i.d. bits."""
+    from scipy.special import erfc
+
     array = _as_bits(bits, 100)
     proportion = float(np.mean(array))
     n = array.size
@@ -79,6 +81,8 @@ def cumulative_sums_test(
     bits: Sequence[int] | np.ndarray, significance: float = DEFAULT_SIGNIFICANCE
 ) -> TestResult:
     """NIST cumulative-sums (cusum, forward) test: detects slow drift of the bias."""
+    from scipy import stats
+
     array = _as_bits(bits, 100)
     n = array.size
     adjusted = 2 * array - 1
@@ -120,6 +124,8 @@ def serial_test(
     significance: float = DEFAULT_SIGNIFICANCE,
 ) -> TestResult:
     """NIST serial test: uniformity of overlapping m-bit pattern frequencies."""
+    from scipy.special import gammaincc
+
     array = _as_bits(bits, 100)
     if pattern_length < 2 or pattern_length > 16:
         raise ValueError("pattern length must be in [2, 16]")
@@ -156,6 +162,8 @@ def approximate_entropy_test(
     significance: float = DEFAULT_SIGNIFICANCE,
 ) -> TestResult:
     """NIST approximate-entropy test: compares m and m+1 pattern statistics."""
+    from scipy.special import gammaincc
+
     array = _as_bits(bits, 100)
     if pattern_length < 1 or pattern_length > 14:
         raise ValueError("pattern length must be in [1, 14]")

@@ -18,8 +18,6 @@ from __future__ import annotations
 from typing import List, Sequence, Union
 
 import numpy as np
-from scipy import stats
-from scipy.special import digamma
 
 from .procedure_a import TestResult, _as_bit_rows, _one_or_many
 
@@ -81,6 +79,8 @@ def t7_comparative_test(
     compared with a chi-square homogeneity test; under the null (i.i.d. bits)
     the statistic is chi-square distributed with 3 degrees of freedom.
     """
+    from scipy import stats
+
     rows, scalar = _as_bit_rows(bits, 100_000)
     rows = rows[:, :100_000]
     batch = rows.shape[0]
@@ -169,6 +169,8 @@ def coron_entropy_estimate(
 
 def _coron_g_array(distances: np.ndarray) -> np.ndarray:
     """Vectorized Coron ``g``: expectation-corrected log2 of the distances."""
+    from scipy.special import digamma
+
     # (1/ln2) * (psi(d) + Euler-Mascheroni) equals sum_{k=1}^{d-1} 1/k / ln2.
     return (digamma(distances) + _EULER_GAMMA) / np.log(2.0)
 

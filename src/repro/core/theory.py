@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from ..phase.psd import PhaseNoisePSD
 from ..scalars import scalar_like
@@ -83,6 +82,8 @@ def sigma2_n_integral(
     relative_tolerance:
         Requested relative accuracy of the quadrature pieces.
     """
+    from scipy import integrate
+
     if f0_hz <= 0.0:
         raise ValueError("f0 must be > 0")
     if n < 1:

@@ -24,11 +24,27 @@ blocks of ``n`` samples per row in one pass, and the ``F * K`` white rows of
 a spectral call are shaped by one batched FFT.  Row ``i``'s samples
 ``k*n .. (k+1)*n - 1`` are therefore bit-for-bit the ``k``-th of ``K``
 consecutive single-block calls.
+
+Workspace lifetime.  The spectral path's large temporaries (the ``scratch``
+draw rows, the ``white`` rows and the FFT spectrum and output inside
+:func:`~repro.noise.flicker._pink_spectral_shape`) live only for one
+:func:`run_block` call, but a temporary of at least
+:data:`WORKSPACE_MIN_BYTES` is not allocated per call: it is a view of a
+buffer the calling thread keeps (:data:`WORKSPACE`), reused by that
+thread's next call and freed with the thread.  Allocating them per call
+costs page faults: glibc returns freed large blocks to the OS, and the next
+call faults the pages back in.  A thread retains at most
+:data:`WORKSPACE_CAP_BYTES`; a temporary that does not fit is allocated per
+call.  Smaller temporaries are allocated per call too, since malloc
+recycles them without faults.  Nothing a call returns aliases a buffer:
+``thermal`` and ``pink`` are the caller's arrays.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+import threading
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +55,55 @@ from ...noise.flicker import (
     generate_pink_noise,
 )
 from .plan import SynthesisPlan
+
+
+#: Smallest temporary (bytes) drawn from the thread's workspace.  Smaller
+#: ones, such as every temporary of a served D = 16 call of up to 32 rows,
+#: keep the plain allocation.
+WORKSPACE_MIN_BYTES = 128 * 1024
+
+#: Most bytes a thread's workspace retains.  A served ``B = 32``,
+#: ``D = 512`` range (16 flicker rows of 2,048-point FFTs) needs 0.75 MiB
+#: and a bit-campaign shard's range 0.94 MiB; a Fig. 7 ``sigma^2_N`` range
+#: (8 rows of 262,144-point FFTs, 51 MiB) does not fit and allocates fresh.
+WORKSPACE_CAP_BYTES = 4 * 1024 * 1024
+
+
+class Workspace(threading.local):
+    """Per-thread named byte buffers backing the kernel's large temporaries.
+
+    :meth:`empty` hands out a view of slot ``key``, grown when too small, so
+    two live temporaries need two keys.  The view is valid until the same
+    thread's next :meth:`empty` of that key.
+    """
+
+    def __init__(self) -> None:
+        self.slots: Dict[str, np.ndarray] = {}
+
+    @property
+    def retained_bytes(self) -> int:
+        return sum(buffer.nbytes for buffer in self.slots.values())
+
+    def empty(self, key: str, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """An uninitialized ``shape`` array; from slot ``key`` if gated in."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes < WORKSPACE_MIN_BYTES:
+            return np.empty(shape, dtype)
+        buffer = self.slots.get(key)
+        if buffer is None or buffer.nbytes < nbytes:
+            held = buffer.nbytes if buffer is not None else 0
+            if self.retained_bytes - held + nbytes > WORKSPACE_CAP_BYTES:
+                return np.empty(shape, dtype)
+            buffer = self.slots[key] = np.empty(nbytes, np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+#: The kernel's workspace: each thread sees its own slots.  It is per
+#: thread, not per backend: engine objects resolve a fresh backend (every
+#: ``run_bits_batch`` call does), so a backend's buffers would start empty
+#: on every request.
+WORKSPACE = Workspace()
 
 
 def flicker_offsets(h_minus1: np.ndarray) -> np.ndarray:
@@ -107,9 +172,9 @@ def run_block(
         # Row-major (flicker row, block): white row f * n_blocks + k is block
         # k of flicker row f, so the shaped (F * K, n) result reshapes to
         # (F, K * n) with every row's blocks in order.
-        white = np.empty((n_flicker * n_blocks, n_fft))
+        white = WORKSPACE.empty("white", (n_flicker * n_blocks, n_fft))
         # Draws of a two-component row: K blocks of (thermal, white) each.
-        scratch = np.empty((n_blocks, n + n_fft))
+        scratch = WORKSPACE.empty("scratch", (n_blocks, n + n_fft))
         drawn = 0
         for index in range(start, stop):
             row = thermal[index].reshape(n_blocks, n)
@@ -126,7 +191,9 @@ def run_block(
                 drawn += n_blocks
         if n_flicker:
             out = pink[position : position + n_flicker].reshape(-1, n)
-            _pink_spectral_shape(white, n, scaling=scaling, out=out)
+            _pink_spectral_shape(
+                white, n, scaling=scaling, out=out, workspace=WORKSPACE
+            )
     else:
         blocks = [slice(k * n, (k + 1) * n) for k in range(n_blocks)]
         for index in range(start, stop):

@@ -78,27 +78,14 @@ _MULTIBLOCK_SOURCES = (BatchedOscillatorEnsemble, BatchedJitterSynthesizer)
 def _row_searchsorted_right(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row-wise ``searchsorted(rows[b], values[b], side="right")`` for all rows.
 
-    Both inputs are ``(B, ...)`` arrays whose rows are sorted ascending.  The
-    batched path runs one vectorized binary search over all ``B * m`` queries
-    at once (``ceil(log2(n))`` compare-and-gather sweeps); every comparison is
-    between original float values — no offset or rescaling trick that could
-    round — so the integer indices are exactly the ones the scalar
-    ``np.searchsorted`` produces per row.
+    Both inputs are ``(B, ...)`` arrays whose rows are sorted ascending.  One
+    ``np.searchsorted`` per row compares original float values only, so the
+    indices are exact; a flattened search over offset rows could round.
     """
-    batch, n = rows.shape
-    if batch == 1:
-        return np.searchsorted(rows[0], values[0], side="right")[None, :]
-    row_index = np.arange(batch)[:, None]
-    low = np.zeros(values.shape, dtype=np.int64)
-    high = np.full(values.shape, n, dtype=np.int64)
-    for _ in range(max(n.bit_length(), 1)):
-        gap = high - low
-        middle = low + (gap >> 1)
-        pivot = rows[row_index, np.minimum(middle, n - 1)]
-        go_right = (pivot <= values) & (gap > 0)
-        low = np.where(go_right, middle + 1, low)
-        high = np.where(go_right, high, middle)
-    return low
+    indices = np.empty(values.shape, dtype=np.intp)
+    for b in range(len(rows)):
+        indices[b] = np.searchsorted(rows[b], values[b], side="right")
+    return indices
 
 
 def square_wave_level_batch(

@@ -227,6 +227,7 @@ def _pink_spectral_shape(
     n_samples: int,
     scaling: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
+    workspace=None,
 ) -> np.ndarray:
     """Shape white noise (last axis = time, length ``n_fft``) to a 1/f PSD.
 
@@ -234,10 +235,19 @@ def _pink_spectral_shape(
     matching FFT length (precomputed by the synthesis-plan cache); ``None``
     computes it inline.  Both paths multiply the identical table, so the
     results are bit-for-bit equal.  ``out``, when given, receives the
-    ``(..., n_samples)`` result (and is returned).
+    ``(..., n_samples)`` result (and is returned).  ``workspace``, when
+    given, is the synthesis kernel's
+    :class:`~repro.engine.backends.kernel.Workspace`; the FFT outputs are
+    written into its ``"spectrum"`` and ``"shaped"`` buffers instead of
+    fresh arrays, which changes no value.
     """
     n_fft = white.shape[-1]
-    spectrum = np.fft.rfft(white, axis=-1)
+    spectrum = shaped = None
+    if workspace is not None:
+        rows = white.shape[:-1]
+        spectrum = workspace.empty("spectrum", rows + (n_fft // 2 + 1,), complex)
+        shaped = workspace.empty("shaped", rows + (n_fft,))
+    spectrum = np.fft.rfft(white, axis=-1, out=spectrum)
     if scaling is None:
         scaling = spectral_scaling_table(n_fft)
     elif scaling.shape != (n_fft // 2 + 1,):
@@ -246,7 +256,7 @@ def _pink_spectral_shape(
             f"{(n_fft // 2 + 1,)} for n_fft={n_fft}"
         )
     spectrum *= scaling
-    shaped = np.fft.irfft(spectrum, n=n_fft, axis=-1)
+    shaped = np.fft.irfft(spectrum, n=n_fft, axis=-1, out=shaped)
     # White noise of unit variance has one-sided PSD 2/fs = 2 (fs = 1), so the
     # shaped sequence has PSD 2/f; divide the amplitude by sqrt(2) to obtain
     # a one-sided PSD of exactly 1/f.

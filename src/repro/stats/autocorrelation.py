@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy import stats
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -63,6 +62,8 @@ def ljung_box_test(series: np.ndarray, lags: int = 20) -> LjungBoxResult:
     is exactly what the paper predicts for ring-oscillator jitter once flicker
     noise is non-negligible.
     """
+    from scipy import stats
+
     x = np.asarray(series, dtype=float)
     n = x.size
     if lags < 1:
@@ -95,6 +96,8 @@ def first_lag_correlation_test(
     is ``sqrt(n) * rho(1)`` which is asymptotically standard normal under
     independence.
     """
+    from scipy import stats
+
     x = np.asarray(series, dtype=float)
     if x.size < 3:
         raise ValueError("need at least three samples")

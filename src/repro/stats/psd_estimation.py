@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import signal
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,8 @@ def periodogram_psd(
     samples: np.ndarray, sampling_rate_hz: float, detrend: str = "constant"
 ) -> PSDEstimate:
     """One-sided periodogram PSD estimate of a sampled record."""
+    from scipy import signal
+
     _validate_psd_inputs(samples, sampling_rate_hz)
     frequencies, psd = signal.periodogram(
         np.asarray(samples, dtype=float), fs=sampling_rate_hz, detrend=detrend
@@ -59,6 +60,8 @@ def welch_psd(
     detrend: str = "constant",
 ) -> PSDEstimate:
     """One-sided Welch PSD estimate (averaged modified periodograms)."""
+    from scipy import signal
+
     _validate_psd_inputs(samples, sampling_rate_hz)
     samples = np.asarray(samples, dtype=float)
     if segment_length is None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List
 
 import numpy as np
-from scipy import stats
 
 from ...oscillator.pll import PLLConfiguration
 from ..entropy import binary_entropy
@@ -80,6 +79,8 @@ class CoherentSamplingModel:
         it; with Gaussian edge jitter ``sigma`` this is a difference of two
         normal CDFs centred on the two edges.
         """
+        from scipy import stats
+
         sigma = self.configuration.output_jitter_std_s
         period = self.output_period_s
         positions = self.phase_positions_s

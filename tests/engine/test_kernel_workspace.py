@@ -1,0 +1,154 @@
+"""The spectral kernel's per-thread workspace changes no output.
+
+The kernel draws its large temporaries (the white rows, the draw scratch and
+the FFT spectrum and output) from buffers each thread keeps between calls.
+These tests pin what that reuse must never do: hand a caller an array that a
+later call overwrites, make a call's output depend on the calls before it on
+the same thread, or keep more than the cap after an oversized call.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.engine import BatchedOscillatorEnsemble
+from repro.engine.backends import NumpyBackend
+from repro.engine.backends import kernel
+from repro.engine.batch import spawn_generators
+
+SIGMA = 1.4e-12
+H_MINUS1 = 2.5e-22
+
+#: (B, n, K, flicker-row pattern): spans under and over the workspace gate,
+#: multi-block calls, thermal-only and flicker-only rows.
+CALLS = (
+    (16, 1024, 1, "all"),
+    (3, 128, 8, "all"),
+    (5, 2048, 2, "mixed"),
+    (16, 1024, 1, "mixed"),
+    (2, 8192, 1, "all"),
+    (4, 100, 1, "mixed"),
+    (7, 1024, 3, "all"),
+)
+
+
+def _coefficients(batch: int, pattern: str):
+    sigma = np.full(batch, SIGMA)
+    h_minus1 = np.full(batch, H_MINUS1)
+    if pattern == "mixed" and batch >= 3:
+        h_minus1[1::3] = 0.0  # thermal-only rows
+        sigma[2::3] = 0.0  # flicker-only rows
+    return sigma, h_minus1
+
+
+def _call(backend, batch, n, n_blocks, pattern, seed):
+    sigma, h_minus1 = _coefficients(batch, pattern)
+    rngs = spawn_generators(seed, batch)
+    return backend.synthesize(n, rngs, sigma, h_minus1, "spectral", n_blocks=n_blocks)
+
+
+def _on_fresh_thread(function, *args):
+    """``function(*args)`` on a new thread, whose workspace starts empty."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = function(*args)
+        except BaseException as error:  # re-raised on the calling thread
+            outcome["error"] = error
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _fresh_call(workers, *call):
+    """:func:`_call` on a new backend, run from a new thread."""
+    return _on_fresh_thread(_call, NumpyBackend(workers, threshold=0), *call)
+
+
+def _retained(backend=None) -> list:
+    """Workspace bytes the calling thread (and the backend's pool) retains."""
+    sizes = [kernel.WORKSPACE.retained_bytes]
+    if backend is not None and backend._pool is not None:
+        future = backend._pool.submit(lambda: kernel.WORKSPACE.retained_bytes)
+        sizes.append(future.result())
+    return sizes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interleaved_calls_equal_fresh_calls(workers):
+    backend = NumpyBackend(workers, threshold=0)
+    # Twice through the mix, so every shape also runs after larger and
+    # smaller calls have grown the slots.
+    for round_index in range(2):
+        for index, (batch, n, n_blocks, pattern) in enumerate(CALLS):
+            seed = 100 * round_index + index
+            thermal, pink = _call(backend, batch, n, n_blocks, pattern, seed)
+            fresh_thermal, fresh_pink = _fresh_call(
+                workers, batch, n, n_blocks, pattern, seed
+            )
+            np.testing.assert_array_equal(thermal, fresh_thermal)
+            np.testing.assert_array_equal(pink, fresh_pink)
+
+
+def test_returned_arrays_survive_later_calls():
+    backend = NumpyBackend(2, threshold=0)
+    kept = [_call(backend, 16, 1024, 1, "all", seed=1)]
+    copies = [(thermal.copy(), pink.copy()) for thermal, pink in kept]
+    for seed, (batch, n, n_blocks, pattern) in enumerate(CALLS, start=2):
+        kept.append(_call(backend, batch, n, n_blocks, pattern, seed))
+        copies.append(tuple(array.copy() for array in kept[-1]))
+    for (thermal, pink), (thermal_copy, pink_copy) in zip(kept, copies):
+        np.testing.assert_array_equal(thermal, thermal_copy)
+        np.testing.assert_array_equal(pink, pink_copy)
+        for slot in kernel.WORKSPACE.slots.values():
+            assert not np.shares_memory(thermal, slot)
+            assert not np.shares_memory(pink, slot)
+
+
+def test_periods_survive_later_calls():
+    ensemble = BatchedOscillatorEnsemble.from_phase_noise(
+        103.05e6, 276.0, 5.42, batch_size=16, seed=4, backend="numpy"
+    )
+    first = ensemble.periods(4096)
+    snapshot = first.copy()
+    for n in (4096, 1024, 8192):
+        ensemble.periods(n)
+    np.testing.assert_array_equal(first, snapshot)
+
+
+def test_small_calls_retain_nothing():
+    # A front-door request's temporaries fall under the gate.
+    def small_calls():
+        for batch, n, n_blocks in ((4, 128, 1), (1, 128, 32), (4, 128, 8)):
+            _call(NumpyBackend(), batch, n, n_blocks, "all", seed=batch)
+        return kernel.WORKSPACE.retained_bytes
+
+    assert _on_fresh_thread(small_calls) == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_call_above_the_cap_retains_at_most_the_cap(workers):
+    def run():
+        backend = NumpyBackend(workers, threshold=0)
+        _call(backend, 16, 1024, 1, "all", seed=5)
+        before = _retained(backend)
+        assert all(size > 0 for size in before)
+        # 4 rows per thread of 131,072-point FFTs: ~13.5 MiB of temporaries.
+        rows = 4 * workers
+        thermal, pink = _call(backend, rows, 65_536, 1, "all", seed=6)
+        after = _retained(backend)
+        assert all(size <= kernel.WORKSPACE_CAP_BYTES for size in after), after
+        # The oversized call still computes what a fresh thread computes.
+        fresh = _fresh_call(workers, rows, 65_536, 1, "all", 6)
+        np.testing.assert_array_equal(thermal, fresh[0])
+        np.testing.assert_array_equal(pink, fresh[1])
+
+    _on_fresh_thread(run)

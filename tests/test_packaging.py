@@ -64,6 +64,7 @@ def test_every_third_party_import_is_a_declared_dependency():
 
 
 def test_the_walk_sees_the_known_dependencies():
-    # Guards the walker itself: numpy and scipy are imported at module level.
+    # Guards the walker itself: numpy is imported at module level, scipy only
+    # inside functions.
     imported = _imported_top_level_names()
     assert {"numpy", "scipy"} <= set(imported)
