@@ -26,9 +26,11 @@ a spectral call are shaped by one batched FFT.  Row ``i``'s samples
 consecutive single-block calls.
 
 Workspace lifetime.  The spectral path's large temporaries (the ``scratch``
-draw rows, the ``white`` rows and the FFT spectrum and output inside
-:func:`~repro.noise.flicker._pink_spectral_shape`) live only for one
-:func:`run_block` call, but a temporary of at least
+draw rows, taken only when the range has a row with both noise components,
+the ``white`` rows and the FFT spectrum inside
+:func:`~repro.noise.flicker._pink_spectral_shape`, whose inverse FFT
+overwrites the spent ``white`` rows) live only for one :func:`run_block`
+call, but a temporary of at least
 :data:`WORKSPACE_MIN_BYTES` is not allocated per call: it is a view of a
 buffer the calling thread keeps (:data:`WORKSPACE`), reused by that
 thread's next call and freed with the thread.  Allocating them per call
@@ -63,9 +65,10 @@ from .plan import SynthesisPlan
 WORKSPACE_MIN_BYTES = 128 * 1024
 
 #: Most bytes a thread's workspace retains.  A served ``B = 32``,
-#: ``D = 512`` range (16 flicker rows of 2,048-point FFTs) needs 0.75 MiB
-#: and a bit-campaign shard's range 0.94 MiB; a Fig. 7 ``sigma^2_N`` range
-#: (8 rows of 262,144-point FFTs, 51 MiB) does not fit and allocates fresh.
+#: ``D = 512`` range (16 flicker rows of 2,048-point FFTs) needs 0.5 MiB, a
+#: solo ``D = 512`` step (16 blocks of one row) 0.88 MiB and a bit-campaign
+#: shard's range 0.69 MiB; a Fig. 7 ``sigma^2_N`` range (8 rows of
+#: 262,144-point FFTs, 35 MiB) does not fit and allocates fresh.
 WORKSPACE_CAP_BYTES = 4 * 1024 * 1024
 
 
@@ -168,15 +171,18 @@ def run_block(
             n_fft = plan.n_fft
         else:
             n_fft = _spectral_fft_length(n)
-        n_flicker = sum(1 for i in range(start, stop) if h_minus1[i] > 0.0)
+        rows = range(start, stop)
+        n_flicker = sum(1 for i in rows if h_minus1[i] > 0.0)
         # Row-major (flicker row, block): white row f * n_blocks + k is block
         # k of flicker row f, so the shaped (F * K, n) result reshapes to
         # (F, K * n) with every row's blocks in order.
         white = WORKSPACE.empty("white", (n_flicker * n_blocks, n_fft))
         # Draws of a two-component row: K blocks of (thermal, white) each.
-        scratch = WORKSPACE.empty("scratch", (n_blocks, n + n_fft))
+        # Only such rows use it, so single-component ranges do not take it.
+        if any(sigma[i] > 0.0 and h_minus1[i] > 0.0 for i in rows):
+            scratch = WORKSPACE.empty("scratch", (n_blocks, n + n_fft))
         drawn = 0
-        for index in range(start, stop):
+        for index in rows:
             row = thermal[index].reshape(n_blocks, n)
             if sigma[index] > 0.0 and h_minus1[index] > 0.0:
                 _draw_blocks(rngs[index], scratch)

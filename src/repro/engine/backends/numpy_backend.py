@@ -38,7 +38,7 @@ sweeps and ``2**15`` in one (wide batches of short rows, ``B = 64`` at
 ``n = 256``, can still lose at ``2**14``), so the constant is ``2**15``,
 where every split won.  A served ``B = 32``, ``D = 512`` burst
 (``32 x 1,024`` row-samples per call) threads; a multi-block call under the
-``2**12`` row-period budget does not.
+``2**14`` row-period budget does not.
 """
 
 from __future__ import annotations

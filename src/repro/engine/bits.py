@@ -63,12 +63,15 @@ from .batch import (
 #: draws up to ``max(1, _MULTIBLOCK_BUDGET // (B * block))`` grid blocks per
 #: backend call: small batches amortize the fixed per-call cost over many
 #: blocks, while a call already at ``B * block >= budget`` keeps the
-#: block-at-a-time loop.  Peak memory stays ``O(max(B * block, budget))``.
-#: Measured on the HTTP/WebSocket serving workload: budgets from 2**13 up
-#: raised the server's peak RSS by ~3 MB over 2**12 (their FFT buffers
-#: reach glibc's 128 KiB mmap threshold, so freed buffers stay resident in
-#: per-thread malloc arenas), for a session-read gain within noise.
-_MULTIBLOCK_BUDGET = 2**12
+#: block-at-a-time loop.  Peak memory stays ``O(max(B * block, budget))``;
+#: a step's large FFT buffers come from the kernel's per-thread workspace.
+#: Measured on a 2-vCPU box (numpy 2.4.6) at 2**13 / 2**14 / 2**15, median
+#: of 30 alternating in-process calls: a solo D = 512, 256-bit request
+#: 59.0 / 52.4 / 51.5 ms (69.0 at 2**12), a 1,024-bit D = 16 session read
+#: 9.5 / 9.3 / 9.4 ms; perfbench serve-d512 (12 s, 3 rotated rounds):
+#: request_ms_mean 42.2 / 39.8 / 40.6 ms, bulk_ms_mean 792 / 827 / 1001 ms,
+#: peak_rss_mb 46.7 / 46.7 / 47.7.  2**15 lost on bursts and memory.
+_MULTIBLOCK_BUDGET = 2**14
 
 #: Sources whose ``periods(n, n_blocks)`` synthesizes consecutive blocks in
 #: one call; any other source (scalar clocks) is drawn one block at a time.
@@ -229,9 +232,10 @@ class BatchedDFlipFlopSampler:
         ``sample`` calls bit-for-bit identical to monolithic ones; the grid
         is set by this parameter only.  The default ``max(8192, 2 *
         divider)`` guarantees at least two samples per block.  Batched
-        sources synthesize several grid blocks per backend call (up to a
-        fixed row-period budget), so peak memory is ``O(max(batch * block,
-        budget))``; scalar clocks are drawn one block per call.
+        sources synthesize up to ``2**14 // (batch * block)`` grid blocks
+        per backend call (16 for a solo served ``D = 512`` request, one for
+        a 32-row burst), so peak memory is ``O(max(batch * block, 2**14))``
+        periods; scalar clocks are drawn one block per call.
     backend:
         Optional synthesis backend re-bound onto both sources (sources that
         expose ``use_backend``, i.e. the batched ensembles/synthesizers).

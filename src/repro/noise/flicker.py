@@ -237,16 +237,18 @@ def _pink_spectral_shape(
     results are bit-for-bit equal.  ``out``, when given, receives the
     ``(..., n_samples)`` result (and is returned).  ``workspace``, when
     given, is the synthesis kernel's
-    :class:`~repro.engine.backends.kernel.Workspace`; the FFT outputs are
-    written into its ``"spectrum"`` and ``"shaped"`` buffers instead of
-    fresh arrays, which changes no value.
+    :class:`~repro.engine.backends.kernel.Workspace` and ``white`` is
+    consumed: the spectrum goes to the workspace's ``"spectrum"`` buffer and
+    the inverse FFT overwrites ``white``, whose values are dead once
+    transformed.  Neither changes a value; without a workspace ``white`` is
+    left intact and both FFT outputs are fresh arrays.
     """
     n_fft = white.shape[-1]
     spectrum = shaped = None
     if workspace is not None:
         rows = white.shape[:-1]
         spectrum = workspace.empty("spectrum", rows + (n_fft // 2 + 1,), complex)
-        shaped = workspace.empty("shaped", rows + (n_fft,))
+        shaped = white
     spectrum = np.fft.rfft(white, axis=-1, out=spectrum)
     if scaling is None:
         scaling = spectral_scaling_table(n_fft)

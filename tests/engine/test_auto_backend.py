@@ -91,11 +91,13 @@ class TestSelection:
 
     def test_measured_threshold_threads_a_served_burst_only(self):
         """A B = 32, D = 512 burst call (32 x 1,024) threads; a multi-block
-        serving step under the 2**12 row-period budget does not."""
+        serving step under the 2**14 row-period budget does not."""
         backend = NumpyBackend(2)
         assert backend.threshold == AUTO_THRESHOLD
         assert len(backend.row_ranges(32, 1024)) == 2
         assert len(backend.row_ranges(4, 1024)) == 1
+        # The widest multi-block step: 4 rows of 4 blocks of 1,024 periods.
+        assert len(backend.row_ranges(4, 4 * 1024)) == 1
 
 
 class _RaisingGenerator:

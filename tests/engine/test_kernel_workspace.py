@@ -1,15 +1,18 @@
 """The spectral kernel's per-thread workspace changes no output.
 
 The kernel draws its large temporaries (the white rows, the draw scratch and
-the FFT spectrum and output) from buffers each thread keeps between calls.
-These tests pin what that reuse must never do: hand a caller an array that a
-later call overwrites, make a call's output depend on the calls before it on
-the same thread, or keep more than the cap after an oversized call.
+the FFT spectrum) from buffers each thread keeps between calls, and the
+inverse FFT overwrites the spent white rows.  These tests pin what that
+reuse must never do: hand a caller an array that a later call overwrites,
+make a call's output depend on the calls before it on the same thread, keep
+more than the cap after an oversized call, or hold a buffer a call did not
+need.
 """
 
 from __future__ import annotations
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +21,11 @@ from repro.engine import BatchedOscillatorEnsemble
 from repro.engine.backends import NumpyBackend
 from repro.engine.backends import kernel
 from repro.engine.batch import spawn_generators
+from repro.noise.flicker import (
+    _pink_spectral_shape,
+    _spectral_fft_length,
+    spectral_scaling_table,
+)
 
 SIGMA = 1.4e-12
 H_MINUS1 = 2.5e-22
@@ -41,6 +49,10 @@ def _coefficients(batch: int, pattern: str):
     if pattern == "mixed" and batch >= 3:
         h_minus1[1::3] = 0.0  # thermal-only rows
         sigma[2::3] = 0.0  # flicker-only rows
+    elif pattern == "thermal":
+        h_minus1[:] = 0.0
+    elif pattern == "flicker":
+        sigma[:] = 0.0
     return sigma, h_minus1
 
 
@@ -152,3 +164,95 @@ def test_a_call_above_the_cap_retains_at_most_the_cap(workers):
         np.testing.assert_array_equal(pink, fresh[1])
 
     _on_fresh_thread(run)
+
+
+@pytest.mark.parametrize("with_table", [False, True], ids=["inline", "table"])
+@pytest.mark.parametrize("batch,n,n_blocks,pattern", CALLS)
+def test_in_place_shaping_equals_fresh_shaping(batch, n, n_blocks, pattern, with_table):
+    n_fft = _spectral_fft_length(n)
+    rows = int(np.count_nonzero(_coefficients(batch, pattern)[1])) * n_blocks
+    white = np.random.default_rng(batch * n).standard_normal((rows, n_fft))
+    scaling = spectral_scaling_table(n_fft) if with_table else None
+    expected = _pink_spectral_shape(white.copy(), n, scaling=scaling)
+    got = np.empty((rows, n))
+    _pink_spectral_shape(
+        white, n, scaling=scaling, out=got, workspace=kernel.Workspace()
+    )
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_shaped_slot(workers):
+    def run():
+        backend = NumpyBackend(workers, threshold=0)
+        for seed, call in enumerate(CALLS):
+            _call(backend, *call, seed=seed)
+        keys = [set(kernel.WORKSPACE.slots)]
+        if backend._pool is not None:
+            future = backend._pool.submit(lambda: set(kernel.WORKSPACE.slots))
+            keys.append(future.result())
+        return keys
+
+    for keys in _on_fresh_thread(run):
+        assert "white" in keys and "spectrum" in keys
+        assert "shaped" not in keys
+
+
+def _row_by_row(batch, n, pattern, seed):
+    """A one-block call drawn and shaped row by row without any workspace."""
+    sigma, h_minus1 = _coefficients(batch, pattern)
+    n_fft = _spectral_fft_length(n)
+    thermal, pink = np.zeros((batch, n)), []
+    for row, rng in enumerate(spawn_generators(seed, batch)):
+        if sigma[row] > 0.0:
+            thermal[row] = sigma[row] * rng.standard_normal(n)
+        if h_minus1[row] > 0.0:
+            pink.append(_pink_spectral_shape(rng.standard_normal(n_fft), n))
+    return thermal, np.array(pink).reshape(-1, n)
+
+
+@pytest.mark.parametrize("pattern", ["thermal", "flicker"])
+def test_single_component_calls_take_no_scratch(pattern):
+    # 8,192-period rows: a two-component row's scratch (192 KiB) is above
+    # the gate, so a call that took it would leave a "scratch" slot.
+    batch, n, seed = 2, 8192, 9
+
+    def run(kind):
+        sigma, h_minus1 = _coefficients(batch, kind)
+        thermal, pink = NumpyBackend().synthesize(
+            n, spawn_generators(seed, batch), sigma, h_minus1, "spectral"
+        )
+        return thermal, pink, set(kernel.WORKSPACE.slots)
+
+    thermal, pink, keys = _on_fresh_thread(run, pattern)
+    assert "scratch" not in keys
+    expected_thermal, expected_pink = _row_by_row(batch, n, pattern, seed)
+    np.testing.assert_array_equal(thermal, expected_thermal)
+    np.testing.assert_array_equal(pink, expected_pink)
+    # A call with two-component rows does take it.
+    assert "scratch" in _on_fresh_thread(run, "all")[2]
+
+
+def test_in_place_shaping_bounds_an_oversized_call():
+    """One (16, 131072) call above the cap peaks at its returned arrays plus
+    the white rows, the spectrum and one scratch row: the inverse FFT has no
+    buffer of its own."""
+    batch, n = 16, 131_072
+    n_fft = _spectral_fft_length(n)
+
+    def peak():
+        backend = NumpyBackend()
+        _call(backend, batch, n, 1, "all", seed=3)  # plan cache, scratch slot
+        tracemalloc.start()
+        try:
+            _call(backend, batch, n, 1, "all", seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    itemsize = np.dtype(np.float64).itemsize
+    thermal = pink = batch * n * itemsize
+    white = batch * n_fft * itemsize
+    spectrum = batch * (n_fft // 2 + 1) * 2 * itemsize
+    scratch_row = (n + n_fft) * itemsize
+    assert _on_fresh_thread(peak) <= thermal + pink + white + spectrum + scratch_row

@@ -150,7 +150,7 @@ def _chunks(total, seed):
     return sizes
 
 
-@pytest.fixture(params=[None, 2**15], ids=["default-budget", "budget-2**15"])
+@pytest.fixture(params=[None, 2**17], ids=["default-budget", "budget-2**17"])
 def budget(request, monkeypatch):
     """Run each stream case at the shipped budget and at a larger one, so
     wide batches and long blocks also take multi-block steps."""
@@ -175,8 +175,11 @@ def _assert_same_stream(batch, divider, block, contract, method, n_bits, seed=5)
 
 #: (batch, divider, block, n_bits): every divider and block of the grid, at
 #: bit counts that cross several multi-block steps where K > 1 (at the
-#: larger budget, wherever B * block <= 2**14).
+#: larger budget, wherever B * block <= 2**16), plus the served shapes: a
+#: solo D = 512 request and a D = 16 session read.
 SPECTRAL_CASES = [
+    (1, 512, 1024, 256),
+    (1, 16, 128, 3072),
     (1, 1, 128, 3000),
     (1, 16, 128, 4100),
     (1, 16, 1024, 2500),
@@ -211,11 +214,21 @@ def test_recursive_flicker_matches_block_at_a_time(
     _assert_same_stream(batch, divider, 128, contract, method, n_bits)
 
 
+def _blocks_per_call(batch, divider, block):
+    sampler, _ = _build(
+        BatchedDFlipFlopSampler, batch, divider, block, "spawn", "spectral", 1
+    )
+    return sampler._blocks_per_call
+
+
 def test_blocks_per_call_follows_the_row_period_budget():
-    sampler, _ = _build(BatchedDFlipFlopSampler, 1, 16, 128, "spawn", "spectral", 1)
-    assert sampler._blocks_per_call == bits_module._MULTIBLOCK_BUDGET // 128
-    wide, _ = _build(BatchedDFlipFlopSampler, 32, 512, 1024, "spawn", "spectral", 1)
-    assert wide._blocks_per_call == 1
+    assert _blocks_per_call(1, 16, 128) == bits_module._MULTIBLOCK_BUDGET // 128
+    # At the shipped budget a solo served D = 512 request draws 16 blocks of
+    # 1,024 periods per call; a served 32-row burst and a 4-row bit-campaign
+    # shard keep one block.
+    assert _blocks_per_call(1, 512, 1024) == 16
+    assert _blocks_per_call(32, 512, 1024) == 1
+    assert _blocks_per_call(4, 512, 8192) == 1
 
 
 class TestMultiBlockBackendCall:
