@@ -21,29 +21,39 @@ shaping per block equals shaping all rows at once.
 
 Multi-block calls (``n_blocks = K``) synthesize ``K`` consecutive synthesis
 blocks of ``n`` samples per row in one pass, and the ``F * K`` white rows of
-a spectral call are shaped by one batched FFT.  Row ``i``'s samples
+a spectral chunk are shaped by one batched FFT.  Row ``i``'s samples
 ``k*n .. (k+1)*n - 1`` are therefore bit-for-bit the ``k``-th of ``K``
 consecutive single-block calls.
 
+Row chunks.  A spectral range is drawn and shaped in chunks of consecutive
+rows, each holding at most :func:`spectral_chunk_rows` flicker rows: as many
+as fit :data:`SPECTRAL_CHUNK_BYTES` of white rows plus spectrum, and at
+least one.  Every served call and bit-campaign range fits in one chunk; a
+Fig. 7 ``sigma^2_N`` range (262,144-point FFTs) takes one row per chunk, so
+its temporaries are one row's, not the range's.  Chunking is another row
+partition, so it changes no output.
+
 Workspace lifetime.  The spectral path's large temporaries (the ``scratch``
 draw rows, taken only when the range has a row with both noise components,
-the ``white`` rows and the FFT spectrum inside
+the chunk's ``white`` rows and the FFT spectrum inside
 :func:`~repro.noise.flicker._pink_spectral_shape`, whose inverse FFT
-overwrites the spent ``white`` rows) live only for one :func:`run_block`
-call, but a temporary of at least
-:data:`WORKSPACE_MIN_BYTES` is not allocated per call: it is a view of a
-buffer the calling thread keeps (:data:`WORKSPACE`), reused by that
-thread's next call and freed with the thread.  Allocating them per call
-costs page faults: glibc returns freed large blocks to the OS, and the next
-call faults the pages back in.  A thread retains at most
-:data:`WORKSPACE_CAP_BYTES`; a temporary that does not fit is allocated per
-call.  Smaller temporaries are allocated per call too, since malloc
-recycles them without faults.  Nothing a call returns aliases a buffer:
-``thermal`` and ``pink`` are the caller's arrays.
+overwrites the spent ``white`` rows) are reused by every chunk of one
+:func:`run_block` call.  A temporary of at least :data:`WORKSPACE_MIN_BYTES`
+is not allocated per call either: it is a view of a buffer the calling
+thread keeps (:data:`WORKSPACE`), reused by that thread's next call and
+freed with the thread.  Allocating them per chunk or per call costs page
+faults: glibc returns freed large blocks to the OS, and the next allocation
+faults the pages back in.  A thread retains at most
+:data:`WORKSPACE_CAP_BYTES`, which holds one chunk's three temporaries; a
+temporary that does not fit (a row whose blocks hold more than 262,144 white
+values) is allocated per call.  Smaller temporaries are allocated per call
+too, since malloc recycles them without faults.  Nothing a call returns
+aliases a buffer: ``thermal`` and ``pink`` are the caller's arrays.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from typing import Dict, Optional, Sequence, Tuple
@@ -64,12 +74,20 @@ from .plan import SynthesisPlan
 #: keep the plain allocation.
 WORKSPACE_MIN_BYTES = 128 * 1024
 
-#: Most bytes a thread's workspace retains.  A served ``B = 32``,
-#: ``D = 512`` range (16 flicker rows of 2,048-point FFTs) needs 0.5 MiB, a
-#: solo ``D = 512`` step (16 blocks of one row) 0.88 MiB and a bit-campaign
-#: shard's range 0.69 MiB; a Fig. 7 ``sigma^2_N`` range (8 rows of
-#: 262,144-point FFTs, 35 MiB) does not fit and allocates fresh.
-WORKSPACE_CAP_BYTES = 4 * 1024 * 1024
+#: Most bytes a thread's workspace retains: one Fig. 7 ``sigma^2_N`` row
+#: (a 262,144-point FFT) needs 7 MiB of white row, spectrum and draw scratch,
+#: and keeps them from one chunk (:data:`SPECTRAL_CHUNK_BYTES`) to the next.
+#: A served ``B = 32``, ``D = 512`` range (16 flicker rows of 2,048-point
+#: FFTs) needs 0.5 MiB, a solo ``D = 512`` step (16 blocks of one row)
+#: 0.88 MiB and a bit-campaign shard's range 0.69 MiB, all in one chunk.
+WORKSPACE_CAP_BYTES = 8 * 1024 * 1024
+
+#: Most bytes of white rows plus FFT spectrum that one chunk of a spectral
+#: range draws and shapes at a time; a chunk holds at least one flicker row.
+#: Half the cap: a row within it has at most 2 MiB of white blocks, so its
+#: draw scratch (``n + n_fft`` per block, ``n <= n_fft / 2``) is at most
+#: 3 MiB, and a chunk's three temporaries fit the cap together.
+SPECTRAL_CHUNK_BYTES = WORKSPACE_CAP_BYTES // 2
 
 
 class Workspace(threading.local):
@@ -107,6 +125,43 @@ class Workspace(threading.local):
 #: ``run_bits_batch`` call does), so a backend's buffers would start empty
 #: on every request.
 WORKSPACE = Workspace()
+
+#: glibc ``mallopt`` parameters (``M_MMAP_THRESHOLD``, ``M_TRIM_THRESHOLD``)
+#: and the values :func:`raise_malloc_thresholds` gives them: what glibc's
+#: dynamic thresholds become after the first free of a 16 MiB block.
+_MALLOC_THRESHOLDS = ((-3, 16 * 2**20), (-1, 32 * 2**20))
+
+
+def raise_malloc_thresholds() -> None:
+    """Let a fresh process recycle numpy's per-call FFT scratch.
+
+    numpy's FFT allocates its own scratch (about 4 MiB for one 262,144-point
+    row) on every call, which no workspace can hold.  A fresh glibc process
+    serves it from the top of the heap and trims it back to the OS on free,
+    so each one-row chunk of its first Fig. 7 shard faults the scratch in
+    again (about 1,000 minor faults per row, 37k per 16-row shard against
+    4k) until some free of a larger block raises glibc's dynamic
+    thresholds.  Campaign pool workers call this at start to begin with the
+    thresholds they would reach anyway.  A no-op where the C library has no
+    ``mallopt``.
+    """
+    try:
+        # The running program's symbols, the C library's among them.
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for parameter, value in _MALLOC_THRESHOLDS:
+        mallopt(parameter, value)
+
+
+def spectral_chunk_rows(n_fft: int, n_blocks: int = 1) -> int:
+    """Flicker rows per chunk of a spectral range: as many as fit
+    :data:`SPECTRAL_CHUNK_BYTES` of white blocks (``n_fft`` floats each) and
+    their spectra (``n_fft // 2 + 1`` complex each), and at least one."""
+    row_bytes = n_blocks * (n_fft + 2 * (n_fft // 2 + 1)) * 8
+    return max(1, SPECTRAL_CHUNK_BYTES // row_bytes)
 
 
 def flicker_offsets(h_minus1: np.ndarray) -> np.ndarray:
@@ -174,9 +229,10 @@ def run_block(
         rows = range(start, stop)
         n_flicker = sum(1 for i in rows if h_minus1[i] > 0.0)
         # Row-major (flicker row, block): white row f * n_blocks + k is block
-        # k of flicker row f, so the shaped (F * K, n) result reshapes to
-        # (F, K * n) with every row's blocks in order.
-        white = WORKSPACE.empty("white", (n_flicker * n_blocks, n_fft))
+        # k of the chunk's flicker row f, so the shaped (F * K, n) result
+        # reshapes to (F, K * n) with every row's blocks in order.
+        chunk = min(n_flicker, spectral_chunk_rows(n_fft, n_blocks))
+        white = WORKSPACE.empty("white", (chunk * n_blocks, n_fft))
         # Draws of a two-component row: K blocks of (thermal, white) each.
         # Only such rows use it, so single-component ranges do not take it.
         if any(sigma[i] > 0.0 and h_minus1[i] > 0.0 for i in rows):
@@ -195,11 +251,15 @@ def run_block(
             elif h_minus1[index] > 0.0:
                 _draw_blocks(rngs[index], white[drawn : drawn + n_blocks])
                 drawn += n_blocks
-        if n_flicker:
-            out = pink[position : position + n_flicker].reshape(-1, n)
-            _pink_spectral_shape(
-                white, n, scaling=scaling, out=out, workspace=WORKSPACE
-            )
+            # Shape a full chunk, and the last one however full it is.
+            if drawn and (drawn == len(white) or index == stop - 1):
+                shaped = drawn // n_blocks
+                out = pink[position : position + shaped].reshape(-1, n)
+                _pink_spectral_shape(
+                    white[:drawn], n, scaling=scaling, out=out, workspace=WORKSPACE
+                )
+                position += shaped
+                drawn = 0
     else:
         blocks = [slice(k * n, (k + 1) * n) for k in range(n_blocks)]
         for index in range(start, stop):

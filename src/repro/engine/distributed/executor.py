@@ -22,14 +22,17 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 from ..backends import BACKEND_ENV_VAR, pool_worker_backend
+from ..backends.kernel import raise_malloc_thresholds
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
 
 
 def _adopt_backend(spec: str) -> None:
-    """Pool-worker initializer: make ``spec`` this process's default backend."""
+    """Pool-worker initializer: make ``spec`` this process's default backend,
+    and let the fresh process recycle the kernel's FFT scratch."""
     os.environ[BACKEND_ENV_VAR] = spec
+    raise_malloc_thresholds()
 
 
 class SerialExecutor:

@@ -10,8 +10,13 @@ campaign produces (see :mod:`repro.engine.distributed.merge`).
 Memory discipline: a sigma^2_N shard holds its ``O(rows x n_periods)``
 record and ``O(n_periods)`` sweep scratch, since the sweep reduces one row at
 a time (or ``O(rows x chunk_periods)`` in streaming mode, where the partial is
-the streaming estimator's *state*, not a record); a bit shard holds
-``O(rows x synthesis_block)`` thanks to the streaming sampler.
+the streaming estimator's *state*, not a record, and the estimator also
+reduces one row at a time); a bit shard holds ``O(rows x synthesis_block)``
+thanks to the streaming sampler.  Synthesis adds ``O(n_fft)`` per synthesis
+thread, not ``O(rows x n_fft)``: the spectral kernel draws and shapes a
+range in row chunks (one row of a Fig. 7 record), and each thread keeps that
+chunk's white rows, spectrum and draw scratch, 7 MiB at 262,144-point FFTs,
+between chunks and calls.
 """
 
 from __future__ import annotations

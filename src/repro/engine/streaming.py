@@ -106,12 +106,17 @@ class StreamingSigma2NEstimator:
             )
         if data.shape[1] == 0:
             return
-        buffer = np.concatenate([self._tail, data], axis=1)
+        tail_length = self._tail.shape[1]
         buffer_start = self._tail_start
-        length = buffer.shape[1]
-        cumulative = np.concatenate(
-            [np.zeros((self.batch_size, 1)), np.cumsum(buffer, axis=1)], axis=1
-        )
+        length = tail_length + data.shape[1]
+        # One row at a time, as batched_sigma2_n_sweep: the row's samples and
+        # cumulative sums go into reused (length,) / (length + 1,) buffers, its
+        # block differences into reused (length,) ones, through per-N views
+        # built once per chunk.
+        row_buffer = np.empty(length)
+        cumulative = np.zeros(length + 1)
+        s_n_buffer, first_buffer = np.empty((2, length))
+        views = []
         for n in self.n_sweep:
             window = 2 * n
             last_start = buffer_start + length - window  # global, inclusive
@@ -123,20 +128,31 @@ class StreamingSigma2NEstimator:
                 continue
             lo = start - buffer_start
             stride = window if not self.overlapping else 1
-            c0 = cumulative[:, lo : length - window + 1 : stride]
-            c1 = cumulative[:, lo + n : length - n + 1 : stride]
-            c2 = cumulative[:, lo + window : length + 1 : stride]
-            values = (c2 - c1) - (c1 - c0)
-            self._sum_sq[n] += [sum_of_squares(row) for row in values]
-            self._counts[n] += values.shape[1]
-            self._next_start[n] = (
-                start + stride * values.shape[1]
-                if not self.overlapping
-                else last_start + 1
+            c0 = cumulative[lo : length - window + 1 : stride]
+            c1 = cumulative[lo + n : length - n + 1 : stride]
+            c2 = cumulative[lo + window : length + 1 : stride]
+            m = c0.size
+            views.append(
+                (self._sum_sq[n], c0, c1, c2, s_n_buffer[:m], first_buffer[:m])
             )
-        self._n_samples += data.shape[1]
+            self._counts[n] += m
+            self._next_start[n] = (
+                start + stride * m if not self.overlapping else last_start + 1
+            )
         keep = min(length, 2 * self._max_n - 1)
-        self._tail = buffer[:, length - keep :].copy()
+        tail = np.empty((self.batch_size, keep))
+        for row in range(self.batch_size):
+            row_buffer[:tail_length] = self._tail[row]
+            row_buffer[tail_length:] = data[row]
+            np.cumsum(row_buffer, out=cumulative[1:])
+            for sum_sq, c0, c1, c2, s_n, first_block in views:
+                np.subtract(c2, c1, out=s_n)
+                np.subtract(c1, c0, out=first_block)
+                np.subtract(s_n, first_block, out=s_n)
+                sum_sq[row] += sum_of_squares(s_n)
+            tail[row] = row_buffer[length - keep :]
+        self._n_samples += data.shape[1]
+        self._tail = tail
         self._tail_start = buffer_start + length - keep
 
     def export_state(self) -> Dict[str, np.ndarray]:

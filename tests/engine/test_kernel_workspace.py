@@ -1,18 +1,25 @@
 """The spectral kernel's per-thread workspace changes no output.
 
-The kernel draws its large temporaries (the white rows, the draw scratch and
-the FFT spectrum) from buffers each thread keeps between calls, and the
-inverse FFT overwrites the spent white rows.  These tests pin what that
-reuse must never do: hand a caller an array that a later call overwrites,
-make a call's output depend on the calls before it on the same thread, keep
-more than the cap after an oversized call, or hold a buffer a call did not
-need.
+The kernel draws and shapes a range's rows in chunks, and takes its large
+temporaries (the white rows, the draw scratch and the FFT spectrum) from
+buffers each thread keeps between chunks and calls; the inverse FFT
+overwrites the spent white rows.  These tests pin what that reuse must never
+do: hand a caller an array that a later call overwrites, make a call's
+output depend on the calls before it on the same thread or on where its
+chunks end, keep more than the cap after an oversized call, or hold a buffer
+a call did not need.
 """
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +33,8 @@ from repro.noise.flicker import (
     _spectral_fft_length,
     spectral_scaling_table,
 )
+from repro.serving import BitsRequest
+from repro.serving.scatter import run_bits_batch
 
 SIGMA = 1.4e-12
 H_MINUS1 = 2.5e-22
@@ -153,17 +162,68 @@ def test_a_call_above_the_cap_retains_at_most_the_cap(workers):
         _call(backend, 16, 1024, 1, "all", seed=5)
         before = _retained(backend)
         assert all(size > 0 for size in before)
-        # 4 rows per thread of 131,072-point FFTs: ~13.5 MiB of temporaries.
-        rows = 4 * workers
-        thermal, pink = _call(backend, rows, 65_536, 1, "all", seed=6)
+        # 2 rows per thread of 524,288-point FFTs: even a one-row chunk's
+        # temporaries (14 MiB) exceed the cap.
+        rows = 2 * workers
+        thermal, pink = _call(backend, rows, 262_144, 1, "all", seed=6)
         after = _retained(backend)
         assert all(size <= kernel.WORKSPACE_CAP_BYTES for size in after), after
         # The oversized call still computes what a fresh thread computes.
-        fresh = _fresh_call(workers, rows, 65_536, 1, "all", 6)
+        fresh = _fresh_call(workers, rows, 262_144, 1, "all", 6)
         np.testing.assert_array_equal(thermal, fresh[0])
         np.testing.assert_array_equal(pink, fresh[1])
 
     _on_fresh_thread(run)
+
+
+def _chunk_budget(rows: int, n: int, n_blocks: int) -> int:
+    """A chunk budget that holds exactly ``rows`` flicker rows of this call:
+    each row's K white blocks of ``n_fft`` floats and their spectra."""
+    n_fft = _spectral_fft_length(n)
+    return rows * n_blocks * (n_fft * 8 + (n_fft // 2 + 1) * 16)
+
+
+@pytest.mark.parametrize("contract", ["spawn", "philox"])
+@pytest.mark.parametrize("workers", [1, 2], ids=["numpy", "threaded-2"])
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_chunk_boundaries_are_invisible(chunk_rows, workers, contract, monkeypatch):
+    shaped_rows = []
+
+    def shape(white, *args, **kwargs):
+        shaped_rows.append(white.shape[0])
+        return _pink_spectral_shape(white, *args, **kwargs)
+
+    def synthesize(batch, n, n_blocks, pattern, seed):
+        backend = NumpyBackend() if workers == 1 else NumpyBackend(2, threshold=0)
+        sigma, h_minus1 = _coefficients(batch, pattern)
+        rngs = spawn_generators(seed, batch, rng_contract=contract)
+        outputs = backend.synthesize(
+            n, rngs, sigma, h_minus1, "spectral", n_blocks=n_blocks
+        )
+        return outputs, [getattr(rng, "block", None) for rng in rngs]
+
+    monkeypatch.setattr(kernel, "_pink_spectral_shape", shape)
+    for seed, (batch, n, n_blocks, _) in enumerate(CALLS):
+        for pattern in ("all", "mixed", "thermal", "flicker"):
+            monkeypatch.setattr(kernel, "SPECTRAL_CHUNK_BYTES", 2**40)
+            (thermal, pink), blocks = synthesize(batch, n, n_blocks, pattern, seed)
+            budget = _chunk_budget(chunk_rows, n, n_blocks)
+            monkeypatch.setattr(kernel, "SPECTRAL_CHUNK_BYTES", budget)
+            n_fft = _spectral_fft_length(n)
+            assert kernel.spectral_chunk_rows(n_fft, n_blocks) == chunk_rows
+            shaped_rows.clear()
+            (chunked_thermal, chunked_pink), chunked_blocks = synthesize(
+                batch, n, n_blocks, pattern, seed
+            )
+            np.testing.assert_array_equal(chunked_thermal, thermal)
+            np.testing.assert_array_equal(chunked_pink, pink)
+            assert chunked_blocks == blocks
+            # The chunks really split: at most chunk_rows rows each, every
+            # flicker row shaped once.
+            assert all(rows <= chunk_rows * n_blocks for rows in shaped_rows)
+            assert sum(shaped_rows) == len(pink) * n_blocks
+            if chunk_rows == 1:
+                assert len(shaped_rows) == len(pink)
 
 
 @pytest.mark.parametrize("with_table", [False, True], ids=["inline", "table"])
@@ -234,25 +294,100 @@ def test_single_component_calls_take_no_scratch(pattern):
 
 
 def test_in_place_shaping_bounds_an_oversized_call():
-    """One (16, 131072) call above the cap peaks at its returned arrays plus
-    the white rows, the spectrum and one scratch row: the inverse FFT has no
-    buffer of its own."""
+    """One (16, 131072) call peaks at its returned arrays plus one row's white
+    row, spectrum and scratch: the range is drawn and shaped one row at a
+    time, and the inverse FFT has no buffer of its own."""
     batch, n = 16, 131_072
     n_fft = _spectral_fft_length(n)
 
     def peak():
         backend = NumpyBackend()
-        _call(backend, batch, n, 1, "all", seed=3)  # plan cache, scratch slot
+        _call(backend, batch, n, 1, "all", seed=3)  # plan cache, workspace
         tracemalloc.start()
         try:
             _call(backend, batch, n, 1, "all", seed=3)
-            return tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], kernel.WORKSPACE.retained_bytes
         finally:
             tracemalloc.stop()
 
     itemsize = np.dtype(np.float64).itemsize
     thermal = pink = batch * n * itemsize
-    white = batch * n_fft * itemsize
-    spectrum = batch * (n_fft // 2 + 1) * 2 * itemsize
+    white_row = n_fft * itemsize
+    spectrum_row = (n_fft // 2 + 1) * 2 * itemsize
     scratch_row = (n + n_fft) * itemsize
-    assert _on_fresh_thread(peak) <= thermal + pink + white + spectrum + scratch_row
+    traced, retained = _on_fresh_thread(peak)
+    assert traced <= thermal + pink + white_row + spectrum_row + scratch_row
+    # The row's three temporaries stay in the workspace from one chunk and
+    # call to the next instead of being allocated per row.
+    assert retained == white_row + spectrum_row + scratch_row
+
+
+def _retained_after_served_call(requests):
+    """Workspace bytes each thread of a fresh two-worker backend keeps after
+    serving ``requests`` (the calling thread runs the first row range)."""
+
+    def serve():
+        backend = NumpyBackend(2)
+        run_bits_batch(requests, backend=backend)
+        return _retained(backend)
+
+    return _on_fresh_thread(serve)
+
+
+def test_served_calls_retain_at_most_one_mib():
+    # A served B = 32, D = 512 burst (two 16-row ranges) and a solo D = 512
+    # request (K = 16 blocks of one row per step) fit one chunk; the cap for
+    # a Fig. 7 row must not grow what a serving thread keeps.
+    burst = [BitsRequest(n_bits=256, divider=512, seed=row) for row in range(32)]
+    solo = [BitsRequest(n_bits=256, divider=512, seed=1)]
+    for requests, threads in ((burst, 2), (solo, 1)):
+        sizes = _retained_after_served_call(requests)
+        assert len(sizes) == threads
+        assert all(0 < size <= 1024 * 1024 for size in sizes), sizes
+
+
+_FIRST_CALL_FAULTS = textwrap.dedent(
+    """
+    import resource
+    import sys
+
+    import numpy as np
+
+    from repro.engine.backends import NumpyBackend
+    from repro.engine.batch import spawn_generators
+    from repro.engine.distributed.executor import _adopt_backend
+
+    if sys.argv[1] == "pool-worker":
+        _adopt_backend("numpy")
+    rows = 8
+    sigma, h_minus1 = np.full(rows, 1.4e-12), np.full(rows, 2.5e-22)
+    rngs = spawn_generators(1, rows)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    NumpyBackend().synthesize(131_072, rngs, sigma, h_minus1, "spectral")
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+)
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds"
+)
+def test_pool_workers_recycle_fft_scratch():
+    # A fresh process's first one-row chunks fault numpy's per-call FFT
+    # scratch back in (about 20k minor faults for these 8 rows); a campaign
+    # pool worker starts with thresholds that keep it (about 4k).
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), *sys.path]))
+
+    def first_call_faults(mode):
+        completed = subprocess.run(
+            [sys.executable, "-c", _FIRST_CALL_FAULTS, mode],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr[-3000:]
+        return int(completed.stdout)
+
+    assert first_call_faults("pool-worker") < first_call_faults("plain") / 2

@@ -21,6 +21,7 @@ from repro.core.sigma_n import (
     accumulated_variance_curve,
     accumulated_variance_curves,
     sigma2_n_estimate,
+    sum_of_squares,
 )
 from repro.core.theory import sigma2_n_closed_form
 from repro.engine.batch import BatchedOscillatorEnsemble
@@ -348,3 +349,80 @@ class TestEstimatorStateAndRowMerge:
             StreamingSigma2NEstimator.merge_rows([complete, other_sweep])
         with pytest.raises(ValueError, match="at least one"):
             StreamingSigma2NEstimator.merge_rows([])
+
+
+def _reference_update(estimator: StreamingSigma2NEstimator, chunk) -> None:
+    """The batched ``update``: one ``(B, chunk + tail)`` cumulative array and
+    ``(B, M)`` block differences per N.  The row-by-row ``update`` must leave
+    bit-for-bit the same state."""
+    data = np.asarray(chunk, dtype=float)
+    if data.ndim == 1:
+        data = data[None, :]
+    if data.shape[1] == 0:
+        return
+    buffer = np.concatenate([estimator._tail, data], axis=1)
+    buffer_start = estimator._tail_start
+    length = buffer.shape[1]
+    cumulative = np.concatenate(
+        [np.zeros((estimator.batch_size, 1)), np.cumsum(buffer, axis=1)], axis=1
+    )
+    for n in estimator.n_sweep:
+        window = 2 * n
+        last_start = buffer_start + length - window
+        start = estimator._next_start[n]
+        if not estimator.overlapping:
+            start = -(-start // window) * window
+        if last_start < start:
+            continue
+        lo = start - buffer_start
+        stride = window if not estimator.overlapping else 1
+        c0 = cumulative[:, lo : length - window + 1 : stride]
+        c1 = cumulative[:, lo + n : length - n + 1 : stride]
+        c2 = cumulative[:, lo + window : length + 1 : stride]
+        values = (c2 - c1) - (c1 - c0)
+        estimator._sum_sq[n] += [sum_of_squares(row) for row in values]
+        estimator._counts[n] += values.shape[1]
+        estimator._next_start[n] = (
+            start + stride * values.shape[1]
+            if not estimator.overlapping
+            else last_start + 1
+        )
+    estimator._n_samples += data.shape[1]
+    keep = min(length, 2 * estimator._max_n - 1)
+    estimator._tail = buffer[:, length - keep :].copy()
+    estimator._tail_start = buffer_start + length - keep
+
+
+class TestRowByRowUpdate:
+    """``update`` reduces one row at a time through reused 1-D buffers; its
+    state is bit-for-bit the batched reduction's after every chunk."""
+
+    SWEEP = (1, 3, 8, 32, 100)  # 2 * max_n = 200
+
+    @pytest.mark.parametrize("overlapping", [True, False], ids=["overlap", "disjoint"])
+    @pytest.mark.parametrize(
+        "chunks",
+        [(50, 130, 199, 7), (700, 1500), (37, 450, 12, 900, 1), (20_000,)],
+        ids=["shorter", "longer", "mixed", "long-row"],
+    )
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    def test_state_equals_the_batched_reduction(self, batch, chunks, overlapping):
+        rng = np.random.default_rng(batch * 1000 + len(chunks))
+        record = rng.normal(0.0, 1e-12, size=(batch, sum(chunks)))
+        estimator = StreamingSigma2NEstimator(
+            self.SWEEP, batch_size=batch, overlapping=overlapping
+        )
+        reference = StreamingSigma2NEstimator(
+            self.SWEEP, batch_size=batch, overlapping=overlapping
+        )
+        start = 0
+        for size in chunks:
+            chunk = record[:, start : start + size]
+            estimator.update(chunk[0] if batch == 1 else chunk)
+            _reference_update(reference, chunk)
+            start += size
+            state, expected = estimator.export_state(), reference.export_state()
+            assert state.keys() == expected.keys()
+            for key in state:
+                np.testing.assert_array_equal(state[key], expected[key], err_msg=key)
+                assert state[key].dtype == expected[key].dtype, key
