@@ -177,7 +177,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--b-flicker",
         type=float,
         default=None,
-        help="flicker coefficient b_fl [Hz^2] (paper-calibrated default)",
+        help="flicker coefficient b_fl [Hz^2] (default: 5.42 as the pair "
+        "value, halved per oscillator for bits; the paper's Fig. 7 fit "
+        "implies 1.915e6)",
     )
 
 
@@ -238,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _build_spec(args: argparse.Namespace):
     # Omitted flags fall through to the spec dataclass defaults (the single
-    # source of the paper-calibrated coefficients).
+    # source of the default coefficients).
     noise = {}
     if args.f0 is not None:
         noise["f0_hz"] = args.f0
@@ -405,7 +407,6 @@ def main(argv: Optional[list] = None) -> int:
             executor = FabricCoordinator(
                 remote=remote,
                 spawn=max(args.spawn_workers, 0),
-                backend=args.backend,
                 heartbeat_timeout=args.heartbeat_timeout,
                 shard_timeout=args.shard_timeout,
                 on_event=_progress,

@@ -141,8 +141,8 @@ def raise_malloc_thresholds() -> None:
     so each one-row chunk of its first Fig. 7 shard faults the scratch in
     again (about 1,000 minor faults per row, 37k per 16-row shard against
     4k) until some free of a larger block raises glibc's dynamic
-    thresholds.  Campaign pool workers call this at start to begin with the
-    thresholds they would reach anyway.  A no-op where the C library has no
+    thresholds.  Campaign pool workers and fabric workers call this at start
+    to begin with the thresholds they would reach anyway.  A no-op where the C library has no
     ``mallopt``.
     """
     try:

@@ -1,13 +1,10 @@
 """Multi-host fabric: coordinator + worker fleets over the serving protocol.
 
-One cluster story for campaigns and serving: the
-:class:`~repro.engine.distributed.fabric.coordinator.FabricCoordinator`
+The :class:`~repro.engine.distributed.fabric.coordinator.FabricCoordinator`
 drives remote ``python -m repro.worker`` processes as a campaign executor
-(shard assignment, heartbeats, retry/reassignment on worker death), and the
-serving layer's :class:`~repro.serving.fabric_dispatch.FabricDispatcher`
-forwards coalesced batches to the same workers.  Both paths ride the
-JSON-lines protocol and the engine's seed-closure discipline, so fabric
-results are bit-for-bit identical to single-host runs.
+(shard assignment, heartbeats, retry/reassignment on worker death).  Shards
+ride the serving layer's JSON-lines protocol and the engine's seed-closure
+discipline, so fabric results are bit-for-bit identical to single-host runs.
 """
 
 from __future__ import annotations

@@ -184,7 +184,6 @@ def _worker_environment(pool_size: int) -> Dict[str, str]:
 
 def spawn_worker(
     name: Optional[str] = None,
-    backend: Optional[str] = None,
     startup_timeout: float = 30.0,
     python: Optional[str] = None,
     pool_size: int = 1,
@@ -200,8 +199,6 @@ def spawn_worker(
     """
     command = [python or sys.executable, "-m", "repro.worker", "--listen",
                "127.0.0.1:0"]
-    if backend is not None:
-        command += ["--backend", str(backend)]
     process = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
@@ -233,7 +230,6 @@ def spawn_worker(
 def connect_workers(
     remote: Sequence[str] = (),
     spawn: int = 0,
-    backend: Optional[str] = None,
     connect_timeout: float = 10.0,
 ) -> list:
     """Build the worker fleet: remote ``host:port`` links + spawned locals."""
@@ -247,7 +243,7 @@ def connect_workers(
                 WorkerLink(host, port).connect(timeout=connect_timeout)
             )
         for _ in range(int(spawn)):
-            links.append(spawn_worker(backend=backend, pool_size=spawn))
+            links.append(spawn_worker(pool_size=spawn))
     except Exception:
         for link in links:
             link.close(kill=True)

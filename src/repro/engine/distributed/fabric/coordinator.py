@@ -71,9 +71,6 @@ class FabricCoordinator:
     spawn:
         Number of localhost workers to spawn and own (terminated on
         :meth:`close`).
-    backend:
-        Backend spec string passed to *spawned* workers (shard specs carry
-        their own backend; this only affects forwarded serving batches).
     heartbeat_interval / heartbeat_timeout:
         Liveness probing cadence and the silence threshold for death.
     shard_timeout:
@@ -91,7 +88,6 @@ class FabricCoordinator:
         self,
         remote: Sequence[str] = (),
         spawn: int = 0,
-        backend: Optional[str] = None,
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 15.0,
         shard_timeout: Optional[float] = None,
@@ -111,7 +107,6 @@ class FabricCoordinator:
             raise ValueError("max_attempts must be >= 1")
         self._remote = tuple(remote)
         self._spawn = int(spawn)
-        self.backend = backend
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.shard_timeout = shard_timeout
@@ -143,7 +138,6 @@ class FabricCoordinator:
             self.workers = connect_workers(
                 self._remote,
                 self._spawn,
-                backend=self.backend,
                 connect_timeout=self.connect_timeout,
             )
             self._started = True

@@ -1,20 +1,17 @@
 """The fabric worker's serve loop: shard assignments over JSON lines.
 
 A worker is the remote half of the fabric: it accepts coordinator
-connections and executes two kinds of work behind the same wire protocol the
-serving layer already speaks (:mod:`repro.serving.protocol`):
+connections and executes campaign shards behind the same wire protocol the
+serving layer already speaks (:mod:`repro.serving.protocol`).  A ``shard``
+message carries the full campaign spec (seed closure included) plus a row
+range, so the worker re-derives exactly the same per-row RNG streams the
+single-host run uses and the partial it returns is bit-for-bit a row slice
+of the unsharded campaign.
 
-* ``shard`` — one campaign shard: the message carries the full campaign
-  spec (seed closure included) plus a row range, so the worker re-derives
-  exactly the same per-row RNG streams the single-host run uses and the
-  partial it returns is bit-for-bit a row slice of the unsharded campaign;
-* ``batch`` — one coalesced serving batch forwarded by a
-  :class:`~repro.serving.fabric_dispatch.FabricDispatcher`.
-
-Shards and batches run on worker threads (``asyncio.to_thread``), so the
-event loop keeps answering ``ping`` heartbeats while numpy computes — which
-is what lets a coordinator distinguish *busy* from *dead*.  ``shutdown``
-answers, then stops the server.
+Shards run on worker threads (``asyncio.to_thread``), so the event loop
+keeps answering ``ping`` heartbeats while numpy computes — which is what
+lets a coordinator distinguish *busy* from *dead*.  ``shutdown`` answers,
+then stops the server.
 """
 
 from __future__ import annotations
@@ -34,20 +31,17 @@ from ....obs import (
 )
 from ....serving.protocol import (
     ProtocolError,
-    build_request,
     encode_partial,
     error_line,
-    parse_batch_payloads,
     parse_request_line,
     response_line,
-    result_to_payload,
 )
 from ..plan import Shard
 from ..spec import spec_from_json
 from ..worker import run_shard
 
-#: Per-line stream buffer limit [bytes] — sized for campaign specs and
-#: coalesced batches; a sigma^2_N shard partial travels the *other* way.
+#: Per-line stream buffer limit [bytes] — sized for campaign specs; a
+#: sigma^2_N shard partial travels the *other* way.
 MAX_LINE_BYTES = 8 << 20
 
 
@@ -58,25 +52,20 @@ class WorkerServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        backend: Optional[str] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.host = host
         self._requested_port = int(port)
-        self.backend = backend
         #: Per-worker metrics registry; the ``metrics`` kind merges it with
         #: the process-wide one (kernel timings, plan-cache counters).
         self.registry = registry if registry is not None else MetricsRegistry("worker")
         self._shards = self.registry.counter(
             "worker_shards_served_total", "Campaign shards executed"
         )
-        self._batches = self.registry.counter(
-            "worker_batches_served_total", "Forwarded serving batches executed"
-        )
         self._shard_seconds = self.registry.histogram(
             "worker_shard_seconds", "Wall-clock seconds per shard execution"
         )
-        #: Spans of local shard/batch executions; finished records are also
+        #: Spans of local shard executions; finished records are also
         #: shipped back in each reply's ``spans`` field so the coordinator
         #: can merge them into the cross-host tree.
         self.spans = SpanCollector()
@@ -87,10 +76,6 @@ class WorkerServer:
     @property
     def shards_served(self) -> int:
         return int(self._shards.value())
-
-    @property
-    def batches_served(self) -> int:
-        return int(self._batches.value())
 
     @property
     def port(self) -> int:
@@ -171,36 +156,6 @@ class WorkerServer:
             "spans": self._finish_spans(local),
         }
 
-    async def _execute_batch(self, fields: Dict) -> Dict:
-        from ....serving.scatter import execute_batch
-
-        requests = [
-            build_request(kind, entry)
-            for kind, entry in parse_batch_payloads(fields)
-        ]
-        kinds = {request.kind for request in requests}
-        if len(kinds) != 1:
-            raise ProtocolError(
-                f"a batch must be one coalesced group of a single kind, "
-                f"got {sorted(kinds)}"
-            )
-        local = SpanCollector()
-        with span(
-            "worker.batch",
-            collector=local,
-            parent=wire_to_parent(fields.get("trace")),
-            requests=len(requests),
-        ):
-            results = await asyncio.to_thread(
-                execute_batch, requests, self.backend
-            )
-        self._batches.inc()
-        return {
-            "kind": "batch",
-            "results": [result_to_payload(result) for result in results],
-            "spans": self._finish_spans(local),
-        }
-
     async def handle_line(self, line: str) -> str:
         """Serve one wire line; always returns a response line."""
         request_id = None
@@ -218,7 +173,6 @@ class WorkerServer:
                         "kind": "stats",
                         "role": "worker",
                         "shards_served": self.shards_served,
-                        "batches_served": self.batches_served,
                     },
                 )
             if kind == "metrics":
@@ -254,10 +208,6 @@ class WorkerServer:
                 return response_line(
                     request_id, await self._execute_shard(fields)
                 )
-            if kind == "batch":
-                return response_line(
-                    request_id, await self._execute_batch(fields)
-                )
             return error_line(
                 request_id,
                 f"request kind {kind!r} is not served by fabric workers "
@@ -266,8 +216,8 @@ class WorkerServer:
         except ProtocolError as error:
             if error.request_id is not None:
                 request_id = error.request_id
-            return error_line(request_id, str(error))
-        except Exception as error:  # shard/batch failures stay on this line
+            return error_line(request_id, str(error), error.code)
+        except Exception as error:  # shard failures stay on this line
             return error_line(request_id, f"worker error: {error}")
 
     async def _handle_client(

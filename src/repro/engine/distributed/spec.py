@@ -28,6 +28,10 @@ ParamLike = Union[float, Tuple[float, ...]]
 
 #: Flicker coefficient of the README/benchmark reference design [Hz^2]
 #: (the relative, i.e. oscillator-pair, value; halve it per oscillator).
+#: It is not the paper's value: the Fig. 7 fit implies
+#: ``repro.paper.PAPER_B_FLICKER_HZ2`` = 1.915e6 Hz^2 (crossover
+#: K = 5354 periods), while 5.42 Hz^2 puts K near 1.9e9 periods.
+#: ROADMAP.md open item 4 makes the paper's value the default.
 DEFAULT_B_FLICKER_HZ2 = 5.42
 
 
@@ -193,7 +197,9 @@ class BitCampaignSpec:
     n_bits: int
     dividers: Tuple[int, ...]
     f0_hz: float = PAPER_F0_HZ
-    # Per-oscillator coefficients: half of the paper's relative (pair) values.
+    # Per-oscillator coefficients: half of the default pair values, that is
+    # half the paper's b_th and half of DEFAULT_B_FLICKER_HZ2 (not the
+    # paper's b_fl; see there).
     b_thermal_hz: float = PAPER_B_THERMAL_HZ / 2.0
     b_flicker_hz2: float = DEFAULT_B_FLICKER_HZ2 / 2.0
     frequency_mismatch: float = 1e-3

@@ -108,33 +108,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "stream contract via the rng_contract wire field)",
     )
     parser.add_argument(
-        "--no-fast-tier",
-        action="store_false",
-        dest="fast_tier",
-        help="disable the fitted-campaign cache behind tier='fast' sigma2n "
-        "requests (every request runs the exact campaign)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=None,
         help="root seed assigned (in arrival order) to unseeded requests",
-    )
-    parser.add_argument(
-        "--spawn-workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="spawn N localhost fabric workers and dispatch coalesced "
-        "batches to them (results stay bit-identical to local serving)",
-    )
-    parser.add_argument(
-        "--workers-remote",
-        type=str,
-        default=None,
-        metavar="HOST:PORT,...",
-        help="comma-separated endpoints of running 'python -m repro.worker' "
-        "processes to dispatch batches to (combinable with --spawn-workers)",
     )
     parser.add_argument(
         "--stats",
@@ -180,14 +157,7 @@ async def _stats_loop(service: TRNGService, interval: float) -> None:
 
 
 async def _serve(args: argparse.Namespace, config: ServiceConfig) -> int:
-    fabric = config.build_fabric()
-    if fabric is not None:
-        print(
-            f"fabric dispatch: {len(fabric.workers)} worker(s) "
-            f"({', '.join(worker.name for worker in fabric.workers)})",
-            file=sys.stderr,
-        )
-    service = TRNGService(config, fabric=fabric)
+    service = TRNGService(config)
     default_seed = seed_stream(config.seed)
     stats_task: Optional[asyncio.Task] = None
     gateway = None
@@ -247,8 +217,6 @@ async def _serve(args: argparse.Namespace, config: ServiceConfig) -> int:
                     file=sys.stderr,
                 )
     finally:
-        if fabric is not None:
-            fabric.close()
         if args.metrics_json:
             write_metrics_json(
                 args.metrics_json, service.registry, global_registry()
@@ -311,21 +279,10 @@ def main(argv: Optional[list] = None) -> int:
             "max_wait_ms",
             "max_pending",
             "class_wait_ms",
-            "spawn_workers",
-            "workers_remote",
         ):
             message = message.replace(name, "--" + name.replace("_", "-"))
         print(message, file=sys.stderr)
         return 2
-    if config.workers_remote:
-        from .engine.distributed.fabric.connection import parse_endpoint
-
-        for endpoint in config.workers_remote:
-            try:
-                parse_endpoint(endpoint)
-            except ValueError as error:
-                print(str(error), file=sys.stderr)
-                return 2
     runner = _self_test if args.self_test else _serve
     try:
         return asyncio.run(runner(args, config))

@@ -20,8 +20,6 @@ Run a server with ``python -m repro.serve`` (see :mod:`repro.serve`).
 
 from .coalescer import DEFAULT_CLASS_WAIT_FACTORS, Coalescer
 from .config import ServiceConfig
-from .fabric_dispatch import FabricDispatcher
-from .fast_tier import FastTierCache, FittedCampaignEntry
 from .http import (
     HTTPGateway,
     SessionManager,
@@ -54,9 +52,6 @@ __all__ = [
     "DEFAULT_CLASS_WAIT_FACTORS",
     "DeadlineExceeded",
     "ERROR_CODES",
-    "FabricDispatcher",
-    "FastTierCache",
-    "FittedCampaignEntry",
     "HTTPGateway",
     "PRIORITIES",
     "PROTOCOL_VERSION",

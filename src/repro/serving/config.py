@@ -4,10 +4,10 @@
 loose keyword arguments through :class:`~repro.serving.service.TRNGService`,
 ``python -m repro.serve`` and :func:`~repro.serving.server.run_self_test`:
 batching/window limits, queue bound and overflow policy, synthesis backend,
-per-priority coalescing windows, the fast tier, fabric worker endpoints and
-the reproducibility seed.  Both CLIs build exactly one ``ServiceConfig``
-from their flags (:meth:`ServiceConfig.from_args`) and every constructor
-downstream takes the config object.
+per-priority coalescing windows and the reproducibility seed.
+``python -m repro.serve`` builds exactly one ``ServiceConfig`` from its
+flags (:meth:`ServiceConfig.from_args`) and every constructor downstream
+takes the config object.
 
 The config is a frozen dataclass of plain values (strings, numbers,
 tuples), so it is hashable, comparable, and trivially serializable — the
@@ -76,15 +76,6 @@ class ServiceConfig:
         Absolute per-priority window overrides as sorted ``(class, ms)``
         pairs (see :class:`~repro.serving.coalescer.Coalescer`); classes not
         named scale ``max_wait_ms`` by the default factors.
-    fast_tier:
-        Whether ``tier="fast"`` sigma^2_N requests may be served from the
-        fitted-campaign cache; ``False`` makes every request exact.
-    spawn_workers:
-        Localhost fabric workers to spawn for batch dispatch (0 = serve on
-        a local worker thread).
-    workers_remote:
-        ``host:port`` endpoints of running ``python -m repro.worker``
-        processes to dispatch batches to.
     seed:
         Root seed assigned (in arrival order) to unseeded requests; ``None``
         pins fresh entropy per request instead.
@@ -96,16 +87,12 @@ class ServiceConfig:
     overflow: str = "reject"
     backend: Optional[str] = None
     class_wait_ms: Tuple[Tuple[str, float], ...] = field(default_factory=tuple)
-    fast_tier: bool = True
-    spawn_workers: int = 0
-    workers_remote: Tuple[str, ...] = field(default_factory=tuple)
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_batch", int(self.max_batch))
         object.__setattr__(self, "max_wait_ms", float(self.max_wait_ms))
         object.__setattr__(self, "max_pending", int(self.max_pending))
-        object.__setattr__(self, "spawn_workers", int(self.spawn_workers))
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch!r}")
         if self.max_wait_ms < 0.0:
@@ -120,10 +107,6 @@ class ServiceConfig:
             raise ValueError(
                 f"overflow must be one of {OVERFLOW_POLICIES}, "
                 f"got {self.overflow!r}"
-            )
-        if self.spawn_workers < 0:
-            raise ValueError(
-                f"spawn_workers must be >= 0, got {self.spawn_workers!r}"
             )
         if isinstance(self.class_wait_ms, str):
             object.__setattr__(
@@ -156,20 +139,6 @@ class ServiceConfig:
                 raise ValueError(
                     f"class_wait_ms[{name!r}] must be >= 0, got {wait!r}"
                 )
-        if isinstance(self.workers_remote, str):
-            object.__setattr__(
-                self,
-                "workers_remote",
-                tuple(
-                    endpoint.strip()
-                    for endpoint in self.workers_remote.split(",")
-                    if endpoint.strip()
-                ),
-            )
-        else:
-            object.__setattr__(
-                self, "workers_remote", tuple(self.workers_remote)
-            )
         if self.backend is not None and isinstance(self.backend, str):
             from ..engine.backends import validate_backend_spec
 
@@ -181,11 +150,6 @@ class ServiceConfig:
     def class_waits(self) -> Dict[str, float]:
         """``class_wait_ms`` as a plain dict (the coalescer's input form)."""
         return dict(self.class_wait_ms)
-
-    @property
-    def uses_fabric(self) -> bool:
-        """Whether this configuration dispatches batches to fabric workers."""
-        return self.spawn_workers > 0 or bool(self.workers_remote)
 
     def replace(self, **changes) -> "ServiceConfig":
         """A copy with the named fields changed (frozen-dataclass update)."""
@@ -203,21 +167,3 @@ class ServiceConfig:
             if hasattr(args, spec.name) and getattr(args, spec.name) is not None:
                 values[spec.name] = getattr(args, spec.name)
         return cls(**values)
-
-    def build_fabric(self):
-        """The :class:`~repro.serving.fabric_dispatch.FabricDispatcher` for
-        this config, or ``None`` when serving locally.
-
-        The caller owns the dispatcher (close it after stopping the
-        service); imports lazily so purely local serving never touches the
-        fabric machinery.
-        """
-        if not self.uses_fabric:
-            return None
-        from .fabric_dispatch import FabricDispatcher
-
-        return FabricDispatcher.from_endpoints(
-            remote=list(self.workers_remote),
-            spawn=self.spawn_workers,
-            backend=self.backend,
-        )

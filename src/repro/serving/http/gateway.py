@@ -23,7 +23,7 @@ Routes
 * ``GET /metrics`` — Prometheus text exposition (format 0.0.4) of the
   service registry merged with the process-wide one.
 * ``GET /healthz`` — liveness/readiness JSON (queue depth, session count,
-  fabric attachment).
+  backend).
 
 Error envelopes carry the protocol's stable ``code`` token, mapped onto
 HTTP status codes by :data:`CODE_STATUS` — the body of a 4xx/5xx is the
@@ -370,7 +370,6 @@ class HTTPGateway:
             "queue_depth": int(queue_depth.value()) if queue_depth else 0,
             "max_pending": self.service.config.max_pending,
             "sessions": len(self.sessions),
-            "fabric": self.service.fabric is not None,
             "backend": type(self.service.backend).__name__,
         }
         return (200 if healthy else 503), _json_bytes(payload), "application/json"

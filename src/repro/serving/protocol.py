@@ -36,7 +36,7 @@ from __future__ import annotations
 import base64
 import io
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -84,20 +84,18 @@ _REQUEST_FIELDS = {
         "n_sweep",
         "overlapping",
         "min_realizations",
-        "tier",
         "rng_contract",
         "priority",
         "deadline_ms",
     ),
-    # Fabric (worker-only) kinds: campaign shard assignment and coalesced
-    # serving batches forwarded by a coordinator.  The public serving front
-    # door rejects these — only ``python -m repro.worker`` executes them.
-    # ``trace`` is the optional span-propagation envelope
-    # ({"trace_id", "parent_span_id"}, see :mod:`repro.obs.trace`): workers
-    # parent their execution spans under it and ship the recorded spans back
-    # in the reply's ``spans`` field, producing one merged cross-host tree.
+    # Fabric (worker-only) kind: a campaign shard assignment from a
+    # coordinator.  The public serving front door rejects it — only
+    # ``python -m repro.worker`` executes it.  ``trace`` is the optional
+    # span-propagation envelope ({"trace_id", "parent_span_id"}, see
+    # :mod:`repro.obs.trace`): workers parent their execution spans under it
+    # and ship the recorded spans back in the reply's ``spans`` field,
+    # producing one merged cross-host tree.
     "shard": ("spec", "index", "start", "stop", "trace"),
-    "batch": ("requests", "trace"),
     # Observability scrape: a JSON metrics snapshot by default, Prometheus
     # text exposition with {"format": "prometheus"}.
     "metrics": ("format",),
@@ -106,7 +104,7 @@ _REQUEST_FIELDS = {
 _REQUEST_CLASSES = {"bits": BitsRequest, "sigma2n": Sigma2NRequest}
 
 #: Kinds only a fabric worker executes; the serving server refuses them.
-WORKER_ONLY_KINDS = ("shard", "batch", "shutdown")
+WORKER_ONLY_KINDS = ("shard", "shutdown")
 
 #: Kinds that carry no fields at all.
 _BARE_KINDS = ("stats", "ping", "shutdown")
@@ -250,73 +248,8 @@ def result_to_payload(result) -> Dict:
             "r_squared": result.r_squared,
             "thermal_jitter_std_s": result.thermal_jitter_std_s,
             "seed": result.seed,
-            "tier": result.tier,
         }
     raise TypeError(f"cannot serialize result of type {type(result)!r}")
-
-
-def request_to_payload(request: Request) -> Dict:
-    """Wire form of a typed request (inverse of :func:`build_request`).
-
-    Seeds are always pinned by construction, so the payload describes the
-    exact same computation on whichever host rebuilds it — the property the
-    fabric dispatch path relies on for coordinator/worker bit-equality.
-    The scheduling fields (``priority``, ``deadline_ms``) are deliberately
-    omitted: a request forwarded to a fabric worker has already been
-    scheduled, and a relative deadline must not restart its clock remotely.
-    """
-    if isinstance(request, BitsRequest):
-        return {
-            "kind": "bits",
-            "n_bits": request.n_bits,
-            "divider": request.divider,
-            "seed": request.seed,
-            "f0_hz": request.f0_hz,
-            "b_thermal_hz": request.b_thermal_hz,
-            "b_flicker_hz2": request.b_flicker_hz2,
-            "frequency_mismatch": request.frequency_mismatch,
-            "rng_contract": request.rng_contract,
-        }
-    if isinstance(request, Sigma2NRequest):
-        return {
-            "kind": "sigma2n",
-            "n_periods": request.n_periods,
-            "seed": request.seed,
-            "f0_hz": request.f0_hz,
-            "b_thermal_hz": request.b_thermal_hz,
-            "b_flicker_hz2": request.b_flicker_hz2,
-            "n_sweep": list(request.n_sweep) if request.n_sweep else None,
-            "overlapping": request.overlapping,
-            "min_realizations": request.min_realizations,
-            "tier": request.tier,
-            "rng_contract": request.rng_contract,
-        }
-    raise TypeError(f"cannot serialize request of type {type(request)!r}")
-
-
-def payload_to_result(payload: Dict):
-    """Rebuild the typed result from :func:`result_to_payload` output."""
-    kind = payload.get("kind")
-    if kind == "bits":
-        return BitsResult(
-            bits=string_to_bits(payload["bits"]),
-            seed=payload["seed"],
-            divider=payload["divider"],
-        )
-    if kind == "sigma2n":
-        return Sigma2NResult(
-            n_values=np.asarray(payload["n_values"]),
-            sigma2_s2=np.asarray(payload["sigma2_s2"]),
-            realization_counts=np.asarray(payload["realization_counts"]),
-            f0_hz=payload["f0_hz"],
-            b_thermal_hz=payload["b_thermal_hz"],
-            b_flicker_hz2=payload["b_flicker_hz2"],
-            r_squared=payload["r_squared"],
-            thermal_jitter_std_s=payload["thermal_jitter_std_s"],
-            seed=payload["seed"],
-            tier=payload.get("tier", "exact"),
-        )
-    raise ProtocolError(f"cannot decode result payload of kind {kind!r}")
 
 
 def encode_partial(partial: Dict[str, np.ndarray]) -> str:
@@ -339,34 +272,6 @@ def decode_partial(text: str) -> Dict[str, np.ndarray]:
         raise ProtocolError(f"invalid partial encoding: {error}") from None
     with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
         return {name: archive[name].copy() for name in archive.files}
-
-
-def parse_batch_payloads(fields: Dict) -> List[Tuple[str, Dict]]:
-    """Validate a ``batch`` message's request list into ``(kind, fields)``.
-
-    Each entry must itself be a valid ``bits``/``sigma2n`` wire object (the
-    worker rebuilds typed requests from them with :func:`build_request`).
-    """
-    entries = fields.get("requests")
-    if not isinstance(entries, list) or not entries:
-        raise ProtocolError("'batch' requires a non-empty 'requests' list")
-    parsed = []
-    for position, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ProtocolError(f"batch entry {position} is not an object")
-        entry = dict(entry)
-        kind = entry.pop("kind", None)
-        if kind not in _REQUEST_CLASSES:
-            raise ProtocolError(
-                f"batch entry {position} has invalid kind {kind!r}"
-            )
-        unknown = sorted(set(entry) - set(_REQUEST_FIELDS[kind]))
-        if unknown:
-            raise ProtocolError(
-                f"batch entry {position}: unknown fields {unknown}"
-            )
-        parsed.append((kind, entry))
-    return parsed
 
 
 def response_envelope(request_id, result_payload: Dict) -> Dict:

@@ -73,8 +73,7 @@ def _pin_seed(request) -> None:
     else:
         object.__setattr__(request, "seed", int(request.seed))
     # Pin the stream contract alongside the seed: a request answered later
-    # (or on a remote worker with a different environment) must derive the
-    # same draws it would have at submission time.
+    # must derive the same draws it would have at submission time.
     object.__setattr__(
         request, "rng_contract", resolve_rng_contract(request.rng_contract)
     )
@@ -104,7 +103,9 @@ class BitsRequest:
     divider: int = 512
     seed: Optional[int] = None
     f0_hz: float = PAPER_F0_HZ
-    # Per-oscillator coefficients: half of the paper's relative (pair) values.
+    # Per-oscillator coefficients: half of the default pair values, that is
+    # half the paper's b_th and half of DEFAULT_B_FLICKER_HZ2 (not the
+    # paper's b_fl; see there).
     b_thermal_hz: float = PAPER_B_THERMAL_HZ / 2.0
     b_flicker_hz2: float = DEFAULT_B_FLICKER_HZ2 / 2.0
     frequency_mismatch: float = 1e-3
@@ -169,12 +170,6 @@ class Sigma2NRequest:
     The record length and sweep parameters shape the shared batched campaign
     (one ``N`` sweep per engine call), so they form the group key; the noise
     coefficients are per-row — a coalesced batch may mix technology corners.
-
-    ``tier`` selects the latency tier: ``"exact"`` (default) always runs a
-    fresh per-seed campaign; ``"fast"`` may be answered from the serving
-    layer's fitted-campaign cache with the Eq. 11 theory curve (see
-    :mod:`repro.serving.fast_tier` for the accuracy contract).  The tier is
-    part of the group key so fast and exact traffic never coalesce.
     """
 
     n_periods: int
@@ -186,7 +181,6 @@ class Sigma2NRequest:
     n_sweep: Optional[Tuple[int, ...]] = None
     overlapping: bool = True
     min_realizations: int = 8
-    tier: str = "exact"
     #: RNG stream contract (``"spawn"`` | ``"philox"``; ``None`` resolves
     #: and pins the process default at construction).  Changes the served
     #: curve, so it is part of the group key.
@@ -205,10 +199,6 @@ class Sigma2NRequest:
             raise ValueError(f"n_periods must be >= 1, got {self.n_periods!r}")
         if self.min_realizations < 1:
             raise ValueError("min_realizations must be >= 1")
-        if self.tier not in ("exact", "fast"):
-            raise ValueError(
-                f"tier must be 'exact' or 'fast', got {self.tier!r}"
-            )
         _check_scheduling(self)
         _pin_seed(self)
         if self.n_sweep is not None:
@@ -221,7 +211,6 @@ class Sigma2NRequest:
         """Parameters that must match for two requests to share an engine call."""
         return (
             self.kind,
-            self.tier,
             self.n_periods,
             self.n_sweep,
             self.overlapping,
@@ -252,13 +241,7 @@ class BitsResult:
 
 @dataclass(frozen=True)
 class Sigma2NResult:
-    """Served curve and fit of one :class:`Sigma2NRequest`.
-
-    ``tier`` labels what was actually served: ``"exact"`` is a freshly run
-    per-seed campaign (including the cold-miss fill of a fast request);
-    ``"fast"`` is an Eq. 11 theory-curve interpolation from the
-    fitted-campaign cache.
-    """
+    """Served curve and fit of one :class:`Sigma2NRequest`."""
 
     n_values: np.ndarray
     sigma2_s2: np.ndarray
@@ -269,4 +252,3 @@ class Sigma2NResult:
     r_squared: float
     thermal_jitter_std_s: float
     seed: int
-    tier: str = "exact"

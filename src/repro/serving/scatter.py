@@ -18,7 +18,7 @@ the record was generated.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from ..engine.backends import BackendLike
 from ..engine.batch import BatchedOscillatorEnsemble
 from ..engine.bits import BatchedEROTRNG
 from ..engine.campaign import batched_sigma2_n_campaign
-from .fast_tier import FastTierCache
 from .queue import PendingRequest
 from .requests import (
     BitsRequest,
@@ -82,22 +81,10 @@ def run_bits_batch(
 
 
 def run_sigma2n_batch(
-    requests: Sequence[Sigma2NRequest],
-    backend: BackendLike = None,
-    fast_cache: Optional[FastTierCache] = None,
+    requests: Sequence[Sigma2NRequest], backend: BackendLike = None
 ) -> List[Sigma2NResult]:
-    """Serve a compatible group of sigma^2_N requests with one batched campaign.
-
-    ``fast_cache`` enables the fast tier: a group of ``tier="fast"``
-    requests is answered row-by-row from the fitted-campaign cache where
-    possible (Eq. 11 theory interpolation, labeled ``tier="fast"``); the
-    remaining rows run one exact batched campaign whose results seed the
-    cache and are returned labeled ``tier="exact"``.  Exact-tier groups
-    (and any group when no cache is supplied) always run the full campaign.
-    """
+    """Serve a compatible group of sigma^2_N requests with one batched campaign."""
     lead = requests[0]
-    if fast_cache is not None and lead.tier == "fast":
-        return _run_fast_tier_batch(requests, backend, fast_cache)
     ensemble = BatchedOscillatorEnsemble.from_phase_noise(
         np.array([request.f0_hz for request in requests]),
         np.array([request.b_thermal_hz for request in requests]),
@@ -131,44 +118,15 @@ def run_sigma2n_batch(
     ]
 
 
-def _run_fast_tier_batch(
-    requests: Sequence[Sigma2NRequest],
-    backend: BackendLike,
-    fast_cache: FastTierCache,
-) -> List[Sigma2NResult]:
-    """Serve one fast-tier group: cache hits interpolate, misses compute."""
-    results: List[Optional[Sigma2NResult]] = [None] * len(requests)
-    miss_rows: List[int] = []
-    for row, request in enumerate(requests):
-        entry = fast_cache.lookup(request)
-        if entry is not None:
-            results[row] = fast_cache.serve(request, entry)
-        else:
-            miss_rows.append(row)
-    if miss_rows:
-        # One exact batched campaign over just the cold rows; its fits seed
-        # the cache (subject to the r^2 admission gate) and the rows are
-        # answered with the genuine computation, labeled exact.
-        computed = run_sigma2n_batch(
-            [requests[row] for row in miss_rows], backend=backend
-        )
-        for row, result in zip(miss_rows, computed):
-            fast_cache.store(requests[row], result)
-            results[row] = result
-    return results
-
-
 def execute_batch(
-    requests: Sequence[Request],
-    backend: BackendLike = None,
-    fast_cache: Optional[FastTierCache] = None,
+    requests: Sequence[Request], backend: BackendLike = None
 ) -> List:
     """Run one coalesced batch on the engine (synchronous; worker-thread side)."""
     if not requests:
         return []
     if isinstance(requests[0], BitsRequest):
         return run_bits_batch(requests, backend=backend)
-    return run_sigma2n_batch(requests, backend=backend, fast_cache=fast_cache)
+    return run_sigma2n_batch(requests, backend=backend)
 
 
 class Scatterer:

@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from ..engine.backends import plan_cache_stats, resolve_backend
 from ..obs import SIZE_BUCKETS, MetricsRegistry, SpanCollector, global_collector, span
 from .coalescer import Coalescer
 from .config import ServiceConfig
-from .fast_tier import FastTierCache
 from .queue import RequestQueue, ServiceStopped
 from .requests import BitsRequest, BitsResult, Request, Sigma2NRequest, Sigma2NResult
 from .scatter import Scatterer, execute_batch
 
-if TYPE_CHECKING:
-    from .fabric_dispatch import FabricDispatcher
 
 class ServiceStats:
     """One service lifetime's counters — a thin view over a metrics registry.
@@ -39,18 +36,7 @@ class ServiceStats:
     properties (``stats.submitted``, ``stats.rejected``, ...).
     """
 
-    def __init__(
-        self,
-        fast_cache: Optional[FastTierCache] = None,
-        fabric: Optional["FabricDispatcher"] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        #: The service's fast-tier cache, attached by :class:`TRNGService` so
-        #: the snapshot can surface its counters alongside the request counters.
-        self.fast_cache = fast_cache
-        #: The service's fabric dispatcher (when serving through remote
-        #: workers), attached so the snapshot includes a ``fabric`` section.
-        self.fabric = fabric
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry("serving")
         self._submitted = self.registry.counter(
             "serve_requests_total", "Requests submitted", labelnames=("kind",)
@@ -182,13 +168,12 @@ class ServiceStats:
         Everything is read live from the shared registry; includes the
         process-wide synthesis plan-cache counters
         (:func:`repro.engine.backends.plan_cache_stats`), queue depth,
-        the coalesce ratio, the latency histograms and, when the service
-        has them, the fast-tier cache and fabric dispatch counters.
+        the coalesce ratio and the latency histograms.
         """
         queue_depth = self.registry.get("serve_queue_depth")
         queue_wait = self.registry.get("serve_queue_wait_seconds")
         coalesce_wait = self.registry.get("serving_coalesce_wait_seconds")
-        snapshot = {
+        return {
             "submitted": self.submitted,
             "completed": self.completed,
             "failed": self.failed,
@@ -212,11 +197,6 @@ class ServiceStats:
             "execute_seconds": self._execute_seconds.snapshot(),
             "plan_cache": plan_cache_stats(),
         }
-        if self.fast_cache is not None:
-            snapshot["fast_tier"] = self.fast_cache.stats()
-        if self.fabric is not None:
-            snapshot["fabric"] = self.fabric.stats()
-        return snapshot
 
 
 class TRNGService:
@@ -227,18 +207,7 @@ class TRNGService:
     config:
         The :class:`~repro.serving.config.ServiceConfig` naming every
         tunable (batching window, queue bound, overflow policy, backend,
-        per-priority windows, fast tier).  ``None`` uses the defaults.
-    fast_cache:
-        The fitted-campaign cache behind ``tier="fast"`` sigma^2_N requests
-        (see :mod:`repro.serving.fast_tier`); pass an instance to tune the
-        r^2 admission gate or share a cache across services.  Defaults to a
-        fresh cache with the standard gate (``config.fast_tier=False``
-        disables the tier entirely).
-    fabric:
-        A :class:`~repro.serving.fabric_dispatch.FabricDispatcher` to run
-        coalesced batches on remote workers instead of a local thread.
-        Results are bit-for-bit identical either way; the service does not
-        own the dispatcher (close it yourself after :meth:`stop`).
+        per-priority windows).  ``None`` uses the defaults.
     registry / spans:
         Observability injection points (a per-service
         :class:`~repro.obs.MetricsRegistry` and span collector by default).
@@ -248,8 +217,6 @@ class TRNGService:
         self,
         config: Optional[ServiceConfig] = None,
         *,
-        fast_cache: Optional[FastTierCache] = None,
-        fabric: Optional["FabricDispatcher"] = None,
         registry: Optional[MetricsRegistry] = None,
         spans: Optional[SpanCollector] = None,
     ) -> None:
@@ -259,7 +226,7 @@ class TRNGService:
         #: ``metrics`` protocol kind all read/write this one instance.
         self.registry = registry if registry is not None else MetricsRegistry("serving")
         #: Span collector the dispatch loop records ``serve.execute`` spans
-        #: into (and fabric dispatch merges worker spans into).
+        #: into.
         self.spans = spans if spans is not None else global_collector()
         self.queue = RequestQueue(
             max_pending=self.config.max_pending,
@@ -273,16 +240,7 @@ class TRNGService:
             metrics=self.registry,
         )
         self.scatterer = Scatterer()
-        if fast_cache is not None:
-            self.fast_cache: Optional[FastTierCache] = fast_cache
-        elif self.config.fast_tier:
-            self.fast_cache = FastTierCache()
-        else:
-            self.fast_cache = None
-        self.fabric = fabric
-        self.stats = ServiceStats(
-            fast_cache=self.fast_cache, fabric=fabric, registry=self.registry
-        )
+        self.stats = ServiceStats(registry=self.registry)
         self.backend = resolve_backend(self.config.backend)
         self._dispatch_task: Optional[asyncio.Task] = None
 
@@ -323,23 +281,11 @@ class TRNGService:
             batch = await self.coalescer.next_batch(self.queue)
             self.stats.record_batch(len(batch))
             requests = [pending.request for pending in batch]
-            run_batch = (
-                self.fabric.execute_batch if self.fabric is not None else execute_batch
-            )
             began = time.perf_counter()
             try:
-                # The span is entered here (event loop context) and inherited
-                # by the worker thread — asyncio.to_thread copies the calling
-                # context, so fabric dispatch sees it as current_span() and
-                # stamps its IDs into the wire messages.
-                with span(
-                    "serve.execute",
-                    collector=self.spans,
-                    requests=len(batch),
-                    fabric=self.fabric is not None,
-                ):
+                with span("serve.execute", collector=self.spans, requests=len(batch)):
                     results = await asyncio.to_thread(
-                        run_batch, requests, self.backend, self.fast_cache
+                        execute_batch, requests, self.backend
                     )
             except asyncio.CancelledError:
                 self.stats.record_failed(

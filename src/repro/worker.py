@@ -1,20 +1,18 @@
 """``python -m repro.worker`` — a fabric worker process.
 
-Listens for a coordinator (``FabricCoordinator`` for campaigns,
-``FabricDispatcher`` for serving) and executes ``shard`` / ``batch``
+Listens for a ``FabricCoordinator`` and executes campaign ``shard``
 assignments over the JSON-lines protocol, answering ``ping`` heartbeats
 while it computes::
 
     # Ephemeral port, announced on stdout (what --spawn-workers parses)
     python -m repro.worker --listen 127.0.0.1:0
 
-    # Fixed endpoint for --workers-remote
-    python -m repro.worker --listen 0.0.0.0:9900 --backend threaded:4
+    # Fixed endpoint for python -m repro.campaigns --workers-remote
+    python -m repro.worker --listen 0.0.0.0:9900
 
-The worker exits on a ``shutdown`` message, SIGTERM, or Ctrl-C.  Campaign
-shards carry their own backend spec; ``--backend`` selects the synthesis
-backend of forwarded *serving* batches only (all backends are bit-for-bit
-equivalent).
+The worker exits on a ``shutdown`` message, SIGTERM, or Ctrl-C.  Each shard
+carries its campaign's backend spec, so the worker itself has no backend
+option.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import asyncio
 import sys
 from typing import Optional
 
+from .engine.backends.kernel import raise_malloc_thresholds
 from .engine.distributed.fabric.connection import ANNOUNCE_PREFIX, parse_endpoint
 from .engine.distributed.fabric.worker_loop import WorkerServer
 
@@ -41,19 +40,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind address; port 0 picks an ephemeral port "
         "(announced on stdout)",
     )
-    parser.add_argument(
-        "--backend",
-        type=str,
-        default=None,
-        metavar="numpy|threaded[:N]|auto[:N]|philox[:N]",
-        help="synthesis backend for forwarded serving batches (campaign "
-        "shards carry their own); default: $REPRO_BACKEND or numpy",
-    )
     return parser
 
 
-async def _serve(host: str, port: int, backend: Optional[str]) -> int:
-    server = WorkerServer(host=host, port=port, backend=backend)
+async def _serve(host: str, port: int) -> int:
+    server = WorkerServer(host=host, port=port)
     await server.start()
     # The announce line is the spawn contract: exactly this prefix, stdout,
     # flushed before any work — spawn_worker() blocks on it.
@@ -63,8 +54,7 @@ async def _serve(host: str, port: int, backend: Optional[str]) -> int:
     finally:
         await server.stop()
     print(
-        f"repro-worker exiting ({server.shards_served} shards, "
-        f"{server.batches_served} batches served)",
+        f"repro-worker exiting ({server.shards_served} shards served)",
         file=sys.stderr,
     )
     return 0
@@ -77,16 +67,11 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if args.backend is not None:
-        from .engine.backends import validate_backend_spec
-
-        try:
-            validate_backend_spec(args.backend)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
+    # Start with the malloc thresholds a campaign pool worker gets, so the
+    # first shards recycle numpy's FFT scratch instead of faulting it in.
+    raise_malloc_thresholds()
     try:
-        return asyncio.run(_serve(host, port, args.backend))
+        return asyncio.run(_serve(host, port))
     except KeyboardInterrupt:
         return 0
 

@@ -14,6 +14,10 @@ import numpy as np
 import pytest
 
 from repro.campaigns import main as campaigns_main
+from repro.engine.distributed.fabric.connection import (
+    connect_workers,
+    spawn_worker,
+)
 from repro.engine.distributed import (
     BitCampaignSpec,
     FabricCoordinator,
@@ -119,3 +123,15 @@ class TestCampaignsCLIFabric:
         arguments += ["--spawn-workers", "2"]
         assert campaigns_main(arguments) == 2
         assert "cannot be combined" in capsys.readouterr().err
+
+
+class TestFleetHasNoBackendKnob:
+    # Each shard carries its campaign's backend spec, so nothing that builds
+    # or connects the fleet takes a backend of its own.
+    @pytest.mark.parametrize(
+        "build", [FabricCoordinator, spawn_worker, connect_workers],
+        ids=["coordinator", "spawn_worker", "connect_workers"],
+    )
+    def test_backend_keyword_is_rejected(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            build(backend="numpy")

@@ -391,3 +391,22 @@ def test_pool_workers_recycle_fft_scratch():
         return int(completed.stdout)
 
     assert first_call_faults("pool-worker") < first_call_faults("plain") / 2
+
+
+def test_fabric_worker_raises_malloc_thresholds(monkeypatch):
+    # A fabric worker runs the same shards as a pool worker, so it starts
+    # with the same thresholds, before it serves anything.
+    from repro import worker
+
+    calls = []
+    monkeypatch.setattr(
+        worker, "raise_malloc_thresholds", lambda: calls.append("thresholds")
+    )
+
+    async def serve(host, port):
+        calls.append("serve")
+        return 0
+
+    monkeypatch.setattr(worker, "_serve", serve)
+    assert worker.main(["--listen", "127.0.0.1:0"]) == 0
+    assert calls == ["thresholds", "serve"]

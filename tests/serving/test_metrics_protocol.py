@@ -35,9 +35,9 @@ class TestParseMetricsKind:
         with pytest.raises(ProtocolError, match="unknown fields"):
             parse_request_line('{"kind": "metrics", "nope": 1}')
 
-    def test_shard_and_batch_accept_a_trace_envelope(self):
+    def test_shard_accepts_a_trace_envelope(self):
         _, _, fields = parse_request_line(
-            '{"kind": "batch", "requests": [], '
+            '{"kind": "shard", "spec": {}, "start": 0, "stop": 1, '
             '"trace": {"trace_id": "t", "parent_span_id": "p"}}'
         )
         assert fields["trace"] == {"trace_id": "t", "parent_span_id": "p"}
@@ -113,6 +113,120 @@ class TestWorkerMetricsKind:
         assert "# TYPE worker_shards_served_total counter" in (
             response["result"]["text"]
         )
+
+
+_SPEC_JSON = spec_to_json(Sigma2NCampaignSpec(batch_size=2, n_periods=512, seed=11))
+
+
+def _line(message: dict) -> str:
+    return json.dumps(message)
+
+
+class TestWorkerRejectsServingTraffic:
+    @pytest.mark.parametrize(
+        "line, code, message_part",
+        [
+            (
+                _line({"id": 1, "kind": "batch",
+                       "requests": [{"kind": "bits", "n_bits": 8, "seed": 1}]}),
+                "bad_request",
+                "unknown request kind 'batch'",
+            ),
+            (
+                _line({"id": 1, "kind": "bits", "n_bits": 8, "seed": 1}),
+                "bad_request",
+                "not served by fabric workers",
+            ),
+            (
+                _line({"id": 1, "kind": "sigma2n", "n_periods": 256, "seed": 1}),
+                "bad_request",
+                "not served by fabric workers",
+            ),
+            ('{"id": 1, "kind": ', "bad_request", "invalid JSON"),
+            (
+                _line({"v": 2, "id": 1, "kind": "ping"}),
+                "unsupported_version",
+                "unsupported protocol version 2",
+            ),
+            (
+                _line({"id": 1, "kind": "shard", "start": 0, "stop": 1}),
+                "bad_request",
+                "invalid shard assignment",
+            ),
+            (
+                _line({"id": 1, "kind": "shard", "spec": _SPEC_JSON,
+                       "start": "first", "stop": 1}),
+                "bad_request",
+                "invalid shard assignment",
+            ),
+            (
+                _line({"id": 1, "kind": "shard", "spec": _SPEC_JSON,
+                       "start": 0, "stop": 1, "requests": []}),
+                "bad_request",
+                "unknown fields for 'shard'",
+            ),
+            (
+                _line({"id": 1, "kind": "metrics", "format": "xml"}),
+                "bad_request",
+                "unknown metrics format",
+            ),
+        ],
+        ids=["batch", "bits", "sigma2n", "malformed-json", "unsupported-version",
+             "shard-without-spec", "shard-bad-range", "shard-unknown-field",
+             "metrics-bad-format"],
+    )
+    def test_rejected_and_still_answers_ping(self, line, code, message_part):
+        async def scenario():
+            worker = WorkerServer(port=0)
+            await worker.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    worker.host, worker.port
+                )
+                replies = []
+                for text in (line, _line({"id": 2, "kind": "ping"})):
+                    writer.write((text + "\n").encode())
+                    await writer.drain()
+                    replies.append(json.loads(await reader.readline()))
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await worker.stop()
+            return worker, replies
+
+        worker, (rejected, pong) = asyncio.run(scenario())
+        assert rejected["ok"] is False
+        assert rejected["code"] == code
+        assert message_part in rejected["error"]
+        assert pong["result"] == {"kind": "ping", "pong": True, "role": "worker"}
+        assert worker.shards_served == 0
+
+
+class TestWorkerControlKinds:
+    def test_stats_reports_role_and_shard_count(self):
+        worker = WorkerServer()
+        response = json.loads(
+            asyncio.run(worker.handle_line('{"id": 4, "kind": "stats"}'))
+        )
+        assert response["id"] == 4
+        assert response["result"] == {
+            "kind": "stats", "role": "worker", "shards_served": 0,
+        }
+
+    def test_shutdown_answers_then_ends_the_serve_loop(self):
+        async def scenario():
+            worker = WorkerServer(port=0)
+            serving = asyncio.create_task(worker.serve_until_shutdown())
+            await asyncio.sleep(0)
+            reply = json.loads(
+                await worker.handle_line('{"id": 5, "kind": "shutdown"}')
+            )
+            # The serve loop returns on its own once the reply is out.
+            await asyncio.wait_for(serving, timeout=10.0)
+            return reply
+
+        reply = asyncio.run(scenario())
+        assert reply["result"] == {"kind": "shutdown", "stopping": True}
 
 
 class TestWorkerTracePropagation:

@@ -6,8 +6,9 @@ import io
 import json
 
 import numpy as np
+import pytest
 
-from repro import serve
+from repro import serve, worker
 from repro.serving.protocol import string_to_bits
 from repro.serving.scatter import run_bits_batch
 from repro.serving.requests import BitsRequest
@@ -21,6 +22,23 @@ class TestArgumentValidation:
     def test_rejects_negative_wait(self, capsys):
         assert serve.main(["--max-wait-ms", "-1"]) == 2
         assert "--max-wait-ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (serve.main, ["--spawn-workers", "1"]),
+            (serve.main, ["--workers-remote", "127.0.0.1:9900"]),
+            (serve.main, ["--no-fast-tier"]),
+            (worker.main, ["--backend", "numpy"]),
+        ],
+        ids=["serve-spawn-workers", "serve-workers-remote",
+             "serve-no-fast-tier", "worker-backend"],
+    )
+    def test_removed_flags_are_usage_errors(self, main, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestStdioServing:

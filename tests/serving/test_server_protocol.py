@@ -11,6 +11,7 @@ import pytest
 from repro.serving import (
     BitsRequest,
     ServiceConfig,
+    Sigma2NRequest,
     TRNGServer,
     TRNGService,
     run_self_test,
@@ -19,11 +20,14 @@ from repro.serving.protocol import (
     ProtocolError,
     bits_to_string,
     build_request,
+    decode_partial,
+    encode_partial,
     parse_request_line,
+    result_to_payload,
     string_to_bits,
 )
-from repro.serving.scatter import run_bits_batch
-from repro.serving.server import seed_stream
+from repro.serving.scatter import execute_batch, run_bits_batch
+from repro.serving.server import handle_request_line, seed_stream
 
 
 class TestBitEncoding:
@@ -34,6 +38,53 @@ class TestBitEncoding:
     def test_rejects_non_binary_text(self):
         with pytest.raises(ProtocolError):
             string_to_bits("01x0")
+
+
+class TestPartialEncoding:
+    def test_partial_encoding_round_trips_bitwise(self):
+        partial = {
+            "floats": np.linspace(0.0, 1.0, 7),
+            "ints": np.arange(5, dtype=np.int64),
+        }
+        restored = decode_partial(encode_partial(partial))
+        for name, values in partial.items():
+            np.testing.assert_array_equal(restored[name], values)
+            assert restored[name].dtype == values.dtype
+
+    def test_decode_partial_rejects_garbage(self):
+        with pytest.raises(ProtocolError, match="invalid partial encoding"):
+            decode_partial("not base64!!")
+
+
+class TestResultPayload:
+    def test_bits_payload_decodes_to_the_served_bits(self):
+        result = execute_batch([BitsRequest(n_bits=16, divider=128, seed=3)])[0]
+        payload = result_to_payload(result)
+        np.testing.assert_array_equal(string_to_bits(payload["bits"]), result.bits)
+        assert payload == {
+            "kind": "bits",
+            "bits": payload["bits"],
+            "n_bits": 16,
+            "divider": 128,
+            "seed": 3,
+        }
+
+    def test_sigma2n_payload_carries_the_measured_curve(self):
+        request = Sigma2NRequest(n_periods=2048, seed=9, n_sweep=(1, 2, 4))
+        result = execute_batch([request])[0]
+        payload = result_to_payload(result)
+        assert sorted(payload) == sorted(
+            ["kind", "n_values", "sigma2_s2", "realization_counts", "f0_hz",
+             "b_thermal_hz", "b_flicker_hz2", "r_squared",
+             "thermal_jitter_std_s", "seed"]
+        )
+        np.testing.assert_array_equal(payload["n_values"], result.n_values)
+        np.testing.assert_array_equal(payload["sigma2_s2"], result.sigma2_s2)
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_unknown_result_type_is_refused(self):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            result_to_payload({"kind": "bits"})
 
 
 class TestParseRequestLine:
@@ -61,6 +112,15 @@ class TestParseRequestLine:
             ('{"kind": "frobnicate"}', "unknown request kind"),
             ('{"kind": "bits", "n_bits": 8, "bogus": 1}', "unknown fields"),
             ('{"kind": "stats", "extra": 1}', "unexpected fields"),
+            (
+                '{"kind": "sigma2n", "n_periods": 4096, "tier": "fast"}',
+                r"unknown fields for 'sigma2n': \['tier'\]",
+            ),
+            ('{"kind": "batch", "requests": []}', "unknown request kind 'batch'"),
+            (
+                '{"kind": "bits", "n_bits": 8, "trace": {"trace_id": "t"}}',
+                r"unknown fields for 'bits': \['trace'\]",
+            ),
         ],
     )
     def test_malformed_lines_raise_protocol_errors(self, line, message_part):
@@ -88,6 +148,12 @@ class TestParseRequestLine:
         with pytest.raises(ProtocolError, match=f"invalid {kind} request"):
             build_request(kind, fields)
 
+    def test_tier_is_not_a_request_field(self):
+        # Callers that build requests without the wire parser hit the same
+        # wall: a sigma2n request has no tier to choose.
+        with pytest.raises(ProtocolError, match="invalid sigma2n request"):
+            build_request("sigma2n", {"n_periods": 4096, "tier": "fast"})
+
     def test_default_seed_factory_fills_unseeded_requests(self):
         _, kind, fields = parse_request_line('{"kind": "bits", "n_bits": 8}')
         first = build_request(kind, fields, default_seed=seed_stream(5))
@@ -100,6 +166,44 @@ class TestParseRequestLine:
         )
         request = build_request(kind, fields, default_seed=seed_stream(5))
         assert request.seed == 11
+
+
+class TestFrontDoorKinds:
+    @pytest.mark.parametrize(
+        "kind, code, message_part",
+        [
+            ("shard", "worker_only", "fabric workers"),
+            ("shutdown", "worker_only", "fabric workers"),
+            ("batch", "bad_request", "unknown request kind 'batch'"),
+        ],
+    )
+    def test_public_server_rejects_worker_kinds(self, kind, code, message_part):
+        async def runner():
+            async with TRNGService() as service:
+                return await handle_request_line(
+                    service, f'{{"id": 1, "kind": "{kind}"}}'
+                )
+
+        response = json.loads(asyncio.run(runner()))
+        assert response["ok"] is False
+        assert response["code"] == code
+        assert message_part in response["error"]
+
+
+class TestStatsReply:
+    def test_stats_has_no_cache_or_fleet_section(self):
+        # Every batch is executed locally, so the counters describe one
+        # execution path: no fast-tier cache and no worker fleet.
+        async def runner():
+            async with TRNGService() as service:
+                await service.get_bits(BitsRequest(n_bits=8, divider=16, seed=2))
+                return await handle_request_line(service, '{"id": 1, "kind": "stats"}')
+
+        stats = json.loads(asyncio.run(runner()))["result"]
+        assert stats["completed"] == 1
+        assert stats["batches"] == 1
+        assert not [key for key in stats if key.startswith("fast")]
+        assert "fabric" not in stats
 
 
 async def _roundtrip(host: str, port: int, lines):
@@ -169,6 +273,8 @@ class TestTCPServer:
                              "divider": 8, "seed": 1},
                             {"id": 3, "kind": "stats"},
                             {"id": 4, "kind": "nonsense"},
+                            {"id": 5, "kind": "sigma2n", "n_periods": 256,
+                             "seed": 1, "tier": "exact"},
                         ],
                     )
                 finally:
@@ -181,6 +287,8 @@ class TestTCPServer:
         assert responses[3]["result"]["submitted"] >= 1
         assert not responses[4]["ok"]
         assert "unknown request kind" in responses[4]["error"]
+        assert responses[5]["code"] == "bad_request"
+        assert "['tier']" in responses[5]["error"]
 
 
     def test_oversized_line_gets_an_error_response_not_a_dead_socket(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
 import pytest
 
@@ -25,8 +26,6 @@ class TestServiceConfigValidation:
         assert config.max_batch == 32
         assert config.overflow == "reject"
         assert config.class_wait_ms == ()
-        assert config.fast_tier is True
-        assert not config.uses_fabric
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -35,7 +34,6 @@ class TestServiceConfigValidation:
             {"max_wait_ms": -1.0},
             {"max_pending": 0},
             {"overflow": "drop"},
-            {"spawn_workers": -1},
             {"backend": "gpu"},
             {"class_wait_ms": {"realtime": 1.0}},
             {"class_wait_ms": {"interactive": -2.0}},
@@ -55,11 +53,6 @@ class TestServiceConfigValidation:
         )
         assert from_string == from_mapping == from_pairs
         assert from_string.class_waits == {"interactive": 0.5, "batch": 20.0}
-
-    def test_workers_remote_accepts_comma_string(self):
-        config = ServiceConfig(workers_remote="h1:1234, h2:5678")
-        assert config.workers_remote == ("h1:1234", "h2:5678")
-        assert config.uses_fabric
 
     def test_replace_returns_updated_frozen_copy(self):
         base = ServiceConfig()
@@ -82,9 +75,37 @@ class TestServiceConfigValidation:
     def test_config_is_hashable(self):
         assert hash(ServiceConfig()) == hash(ServiceConfig())
 
+    def test_fields_are_the_seven_tunables(self):
+        assert [spec.name for spec in dataclasses.fields(ServiceConfig)] == [
+            "max_batch",
+            "max_wait_ms",
+            "max_pending",
+            "overflow",
+            "backend",
+            "class_wait_ms",
+            "seed",
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"spawn_workers": 2},
+            {"workers_remote": "h1:1234"},
+        ],
+    )
+    def test_removed_fields_are_rejected(self, kwargs):
+        # Serving has one execution path: every coalesced batch runs on the
+        # local backend, so there is no cache or worker-fleet knob to set.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServiceConfig(**kwargs)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServiceConfig().replace(**kwargs)
+
 
 class TestServiceConstructor:
-    @pytest.mark.parametrize("keyword", ["max_batch", "max_bach"])
+    @pytest.mark.parametrize(
+        "keyword", ["max_batch", "max_bach", "fast_cache", "fabric"]
+    )
     def test_keyword_tunables_are_rejected(self, keyword):
         # Tunables live on ServiceConfig only; stray keywords are plain
         # TypeErrors from the signature itself.

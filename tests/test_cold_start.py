@@ -77,6 +77,26 @@ def test_serving_and_campaigns_run_without_scipy():
     assert completed.stdout.strip().endswith("ok")
 
 
+def test_serving_does_not_import_the_campaign_fabric():
+    # Every coalesced batch runs on the local backend, so the serving entry
+    # point has no use for the worker fleet's modules.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), *sys.path]))
+    probe = (
+        "import sys, repro.serve; "
+        "print(sorted(name for name in sys.modules "
+        "if name.startswith('repro.engine.distributed.fabric')))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr[-3000:]
+    assert completed.stdout.strip() == "[]"
+
+
 def test_ais31_tests_load_scipy_on_first_use():
     from repro.ais31.nist import nist_battery
     from repro.ais31.procedure_b import procedure_b
